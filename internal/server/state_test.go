@@ -50,7 +50,7 @@ func TestStateSnapshot(t *testing.T) {
 	if st = s.State(); st.QueueDepth != 32 {
 		t.Fatalf("queue depth %d, want 32", st.QueueDepth)
 	}
-	clk.Tick(time.Second)
+	tickSync(s, clk, time.Second)
 	var wire State
 	resp, err := http.Get(ts.URL + "/state")
 	if err != nil {
@@ -108,7 +108,7 @@ func TestRetryAfterTracksHorizon(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clk.Tick(time.Second)
+	tickSync(s, clk, time.Second)
 	if ahead := s.State().BacklogAheadS; ahead != 8 {
 		t.Fatalf("backlog ahead %g s, want 8", ahead)
 	}
@@ -117,7 +117,7 @@ func TestRetryAfterTracksHorizon(t *testing.T) {
 	}
 
 	// The wait drains with the clock, back down to the floor.
-	clk.Tick(5 * time.Second)
+	tickSync(s, clk, 5*time.Second)
 	if got := s.RetryAfter(clk.Now()); got != halfWindow {
 		t.Fatalf("drained RetryAfter %v, want the %v floor", got, halfWindow)
 	}

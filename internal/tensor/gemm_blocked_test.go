@@ -322,24 +322,107 @@ func TestGemmExRandomShapes(t *testing.T) {
 }
 
 // TestGemmExBitIdenticalToGemm pins the assign-mode contract the inference
-// path relies on: with no epilogue, GemmEx over garbage equals Gemm over
-// zeros bit for bit (same kernels, same accumulation order).
+// path relies on, for every assign entry point and tier: the output bits do
+// not depend on what C held before (NaN or random garbage), the padding
+// columns past n stay untouched, and on the exact and fma tiers the result
+// equals the accumulate-mode product into a +0 C bit for bit (GemmT; GemmTB
+// for GemmTBExT's small-product path, which is exact at every tier). Row 0 of
+// A is −1 against an all-zero column 0 of B, so C[0][0] is an exact −0 sum,
+// which assign mode must return as +0 — the value a zeroed C accumulates to.
+// The shapes cover k < 4, k > kcBlock, the small GemmTBExT path and (at
+// GOMAXPROCS ≥ 2) the fan-out split.
 func TestGemmExBitIdenticalToGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, s := range [][3]int{{5, 9, 3}, {16, 256, 72}, {64, 64, 300}, {130, 130, 130}} {
+	for _, s := range [][3]int{{5, 9, 3}, {20, 30, 50}, {192, 200, 3}, {16, 256, 72}, {64, 64, 300}, {130, 130, 130}} {
 		m, n, k := s[0], s[1], s[2]
-		a := make([]float64, m*k)
-		b := make([]float64, k*n)
+		lda, ldb, ldbT, ldc := k+1, n+2, k+3, n+3
+		a := make([]float64, m*lda)
+		b := make([]float64, k*ldb) // straight B[k×n]
 		fillRand(rng, a)
 		fillRand(rng, b)
-		want := make([]float64, m*n)
-		Gemm(m, n, k, a, k, b, n, want, n)
-		got := make([]float64, m*n)
-		fillRand(rng, got)
-		GemmEx(m, n, k, a, k, b, n, got, n, nil)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("m=%d n=%d k=%d: GemmEx[%d]=%g, Gemm=%g", m, n, k, i, got[i], want[i])
+		bt := make([]float64, n*ldbT) // the same B stored transposed, [n×k]
+		for p := 0; p < k; p++ {
+			a[p] = -1
+			b[p*ldb] = 0
+			for j := 0; j < n; j++ {
+				bt[j*ldbT+p] = b[p*ldb+j]
+			}
+		}
+		smallTB := m*n*k < smallGemmFlops
+
+		type entry struct {
+			name string
+			run  func(c []float64)
+			ref  func(c []float64) // accumulate-mode twin; nil for the f32 packs
+		}
+		var entries []entry
+		for _, tier := range []EngineTier{TierExact, TierFMA} {
+			straight := func(c []float64) { GemmT(tier, m, n, k, a, lda, b, ldb, c, ldc) }
+			tbRef := straight
+			if smallTB {
+				tbRef = func(c []float64) { GemmTB(m, n, k, a, lda, bt, ldbT, c, ldc) }
+			}
+			pa, pb := PackA(m, k, a, lda), PackTB(n, k, bt, ldbT)
+			entries = append(entries,
+				entry{"GemmExT/" + tier.String(), func(c []float64) {
+					GemmExT(tier, m, n, k, a, lda, b, ldb, c, ldc, nil)
+				}, straight},
+				entry{"GemmTBExT/" + tier.String(), func(c []float64) {
+					GemmTBExT(tier, m, n, k, a, lda, bt, ldbT, c, ldc, nil)
+				}, tbRef},
+				entry{"GemmPackedExT/" + tier.String(), func(c []float64) {
+					GemmPackedExT(tier, m, n, k, pa, b, ldb, c, ldc, nil)
+				}, straight},
+				entry{"GemmTBPackedExT/" + tier.String(), func(c []float64) {
+					GemmTBPackedExT(tier, m, n, k, a, lda, pb, c, ldc, nil)
+				}, straight})
+		}
+		pa32, pb32 := PackA32(m, k, a, lda), PackTB32(n, k, bt, ldbT)
+		entries = append(entries,
+			entry{"GemmPackedExT/PackA32", func(c []float64) {
+				GemmPackedExT(TierF32, m, n, k, pa32, b, ldb, c, ldc, nil)
+			}, nil},
+			entry{"GemmTBPackedExT/PackTB32", func(c []float64) {
+				GemmTBPackedExT(TierF32, m, n, k, a, lda, pb32, c, ldc, nil)
+			}, nil})
+
+		for _, e := range entries {
+			cNaN := make([]float64, m*ldc)
+			for i := range cNaN {
+				cNaN[i] = math.NaN()
+			}
+			cRand := make([]float64, m*ldc)
+			fillRand(rng, cRand)
+			prior := append([]float64(nil), cRand...)
+			e.run(cNaN)
+			e.run(cRand)
+			var cRef []float64
+			if e.ref != nil {
+				cRef = make([]float64, m*ldc)
+				e.ref(cRef)
+			}
+			for i := 0; i < m; i++ {
+				for j := 0; j < ldc; j++ {
+					x := i*ldc + j
+					if j >= n {
+						if !math.IsNaN(cNaN[x]) || cRand[x] != prior[x] {
+							t.Fatalf("%s m=%d n=%d k=%d: padding C[%d][%d] overwritten", e.name, m, n, k, i, j)
+						}
+						continue
+					}
+					got := math.Float64bits(cNaN[x])
+					if other := math.Float64bits(cRand[x]); got != other {
+						t.Fatalf("%s m=%d n=%d k=%d: C[%d][%d] depends on prior C: %x over NaN, %x over random",
+							e.name, m, n, k, i, j, got, other)
+					}
+					if cRef != nil && got != math.Float64bits(cRef[x]) {
+						t.Fatalf("%s m=%d n=%d k=%d: C[%d][%d] = %x, accumulate into +0 gives %x",
+							e.name, m, n, k, i, j, got, math.Float64bits(cRef[x]))
+					}
+				}
+			}
+			if got := math.Float64bits(cNaN[0]); got != 0 {
+				t.Fatalf("%s m=%d n=%d k=%d: −0 sum gave C[0][0] bits %x, want +0", e.name, m, n, k, got)
 			}
 		}
 	}

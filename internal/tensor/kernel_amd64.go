@@ -5,9 +5,10 @@ package tensor
 // scalar expression ((a0·b0 + a1·b1) + a2·b2) + a3·b3 with VEX mul/add (no
 // FMA — a fused multiply-add rounds once where the scalar code rounds twice),
 // so every C element receives bit-identical results to the scalar kernel and
-// the engine's accumulation-order contract survives the speedup. Detection is
-// at process start via CPUID; non-AVX hosts and short panels stay on the
-// scalar loops.
+// the engine's accumulation-order contract survives the speedup. The kernels
+// only accumulate (C += ...); assign-mode callers hand them a zeroed C tile.
+// Detection is at process start via CPUID; non-AVX hosts and short panels
+// stay on the scalar loops.
 
 // useAVX gates the vector kernels; overridable in tests to pin scalar/vector
 // equivalence.
@@ -26,17 +27,7 @@ func cpuHasAVX() bool
 //go:noescape
 func axpyQuad2AVX(c0, c1, b0, b1, b2, b3, a0, a1 []float64)
 
-// axpyQuad2AssignAVX is axpyQuad2AVX with β=0: the results overwrite c0/c1.
-//
-//go:noescape
-func axpyQuad2AssignAVX(c0, c1, b0, b1, b2, b3, a0, a1 []float64)
-
 // axpyQuad1AVX is the one-row form of axpyQuad2AVX.
 //
 //go:noescape
 func axpyQuad1AVX(c0, b0, b1, b2, b3, a0 []float64)
-
-// axpyQuad1AssignAVX is axpyQuad1AVX with β=0.
-//
-//go:noescape
-func axpyQuad1AssignAVX(c0, b0, b1, b2, b3, a0 []float64)

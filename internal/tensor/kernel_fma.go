@@ -21,6 +21,10 @@ import "math"
 // path. TierFromEnv refuses to default to a fast tier on such hosts;
 // explicit SetTier callers get correct, slower results.)
 //
+// Every loop here accumulates into C. Assign mode zeroes the C tile first,
+// and fma(a, b, +0) rounds exactly like a·b (bar a −0 product, which comes
+// out +0), so a chain seeded from zero needs no kernel of its own.
+//
 // The F32 panel loops consume float32 operands: values are widened to f64
 // (exact) on load and the pack's per-panel scale is folded into the
 // broadcast operand with one f64 multiply before the chain, so the
@@ -111,123 +115,6 @@ func gemmPanelFMAScalar(rows, ncb, kcb int, a []float64, lda int, b []float64, l
 		ai := a[i*lda : i*lda+kcb]
 		ci := c[i*ldc : i*ldc+ncb]
 		for p, av := range ai {
-			bp := b[p*ldb : p*ldb+ncb]
-			for j, bv := range bp {
-				ci[j] = math.FMA(av, bv, ci[j])
-			}
-		}
-	}
-}
-
-// gemmPanelAssignFMA is gemmPanelFMA with β=0: each element's chain seeds
-// with a·b at k=0 (one rounding, no C load) and fuses from k=1 on.
-func gemmPanelAssignFMA(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if !(useFMA && ncb >= vecMinCols) {
-		gemmPanelAssignFMAScalar(rows, ncb, kcb, a, lda, b, ldb, c, ldc)
-		return
-	}
-	i := 0
-	for ; i+4 <= rows; i += 4 {
-		a0 := a[i*lda : i*lda+kcb]
-		a1 := a[(i+1)*lda : (i+1)*lda+kcb]
-		a2 := a[(i+2)*lda : (i+2)*lda+kcb]
-		a3 := a[(i+3)*lda : (i+3)*lda+kcb]
-		ci := i * ldc
-		j := 0
-		for ; j+8 <= ncb; j += 8 {
-			fmaDot4x8Assign(kcb, a0, a1, a2, a3, b[j:], ldb,
-				c[ci+j:ci+j+8], c[ci+ldc+j:ci+ldc+j+8],
-				c[ci+2*ldc+j:ci+2*ldc+j+8], c[ci+3*ldc+j:ci+3*ldc+j+8])
-		}
-		if j < ncb {
-			gemmPanelAssignFMAAxpy(4, ncb-j, kcb, a[i*lda:], lda, b[j:], ldb, c[ci+j:], ldc)
-		}
-	}
-	if i < rows {
-		gemmPanelAssignFMAAxpy(rows-i, ncb, kcb, a[i*lda:], lda, b, ldb, c[i*ldc:], ldc)
-	}
-}
-
-// gemmPanelAssignFMAAxpy is the quad-axpy tail path of gemmPanelAssignFMA.
-func gemmPanelAssignFMAAxpy(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	i := 0
-	for ; i+2 <= rows; i += 2 {
-		ai0 := a[i*lda : i*lda+kcb]
-		ai1 := a[(i+1)*lda : (i+1)*lda+kcb]
-		ci0 := c[i*ldc : i*ldc+ncb]
-		ci1 := c[(i+1)*ldc : (i+1)*ldc+ncb]
-		p := 0
-		if kcb >= 4 {
-			axpyQuad2AssignFMA(ci0, ci1,
-				b[0:ncb], b[ldb:ldb+ncb], b[2*ldb:2*ldb+ncb], b[3*ldb:3*ldb+ncb],
-				ai0[0:4], ai1[0:4])
-			p = 4
-		} else {
-			a0v, a1v := ai0[0], ai1[0]
-			for j, bv := range b[0:ncb] {
-				ci0[j] = a0v * bv
-				ci1[j] = a1v * bv
-			}
-			p = 1
-		}
-		for ; p+4 <= kcb; p += 4 {
-			axpyQuad2FMA(ci0, ci1,
-				b[p*ldb:p*ldb+ncb], b[(p+1)*ldb:(p+1)*ldb+ncb],
-				b[(p+2)*ldb:(p+2)*ldb+ncb], b[(p+3)*ldb:(p+3)*ldb+ncb],
-				ai0[p:p+4], ai1[p:p+4])
-		}
-		for ; p < kcb; p++ {
-			a0v, a1v := ai0[p], ai1[p]
-			bp := b[p*ldb : p*ldb+ncb]
-			for j, bv := range bp {
-				ci0[j] = math.FMA(a0v, bv, ci0[j])
-				ci1[j] = math.FMA(a1v, bv, ci1[j])
-			}
-		}
-	}
-	if i < rows {
-		ai := a[i*lda : i*lda+kcb]
-		ci := c[i*ldc : i*ldc+ncb]
-		p := 0
-		if kcb >= 4 {
-			axpyQuad1AssignFMA(ci,
-				b[0:ncb], b[ldb:ldb+ncb], b[2*ldb:2*ldb+ncb], b[3*ldb:3*ldb+ncb],
-				ai[0:4])
-			p = 4
-		} else {
-			av := ai[0]
-			for j, bv := range b[0:ncb] {
-				ci[j] = av * bv
-			}
-			p = 1
-		}
-		for ; p+4 <= kcb; p += 4 {
-			axpyQuad1FMA(ci,
-				b[p*ldb:p*ldb+ncb], b[(p+1)*ldb:(p+1)*ldb+ncb],
-				b[(p+2)*ldb:(p+2)*ldb+ncb], b[(p+3)*ldb:(p+3)*ldb+ncb],
-				ai[p:p+4])
-		}
-		for ; p < kcb; p++ {
-			av := ai[p]
-			bp := b[p*ldb : p*ldb+ncb]
-			for j, bv := range bp {
-				ci[j] = math.FMA(av, bv, ci[j])
-			}
-		}
-	}
-}
-
-// gemmPanelAssignFMAScalar is the pure-Go fallback of gemmPanelAssignFMA.
-func gemmPanelAssignFMAScalar(rows, ncb, kcb int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	for i := 0; i < rows; i++ {
-		ai := a[i*lda : i*lda+kcb]
-		ci := c[i*ldc : i*ldc+ncb]
-		av := ai[0]
-		for j, bv := range b[0:ncb] {
-			ci[j] = av * bv
-		}
-		for p := 1; p < kcb; p++ {
-			av := ai[p]
 			bp := b[p*ldb : p*ldb+ncb]
 			for j, bv := range bp {
 				ci[j] = math.FMA(av, bv, ci[j])
@@ -355,139 +242,6 @@ func gemmPanelF32BAxpy(rows, ncb, kcb int, a []float64, lda int, scale float64, 
 	}
 }
 
-// gemmPanelAssignF32B is gemmPanelF32B with β=0.
-func gemmPanelAssignF32B(rows, ncb, kcb int, a []float64, lda int, scale float64, b []float32, ldb int, c []float64, ldc int) {
-	if !(useFMA && ncb >= vecMinCols) {
-		kernelScalarCount[TierF32].Add(1)
-		for i := 0; i < rows; i++ {
-			ai := a[i*lda : i*lda+kcb]
-			ci := c[i*ldc : i*ldc+ncb]
-			avs := ai[0] * scale
-			for j, bv := range b[0:ncb] {
-				ci[j] = avs * float64(bv)
-			}
-			for p := 1; p < kcb; p++ {
-				avs := ai[p] * scale
-				bp := b[p*ldb : p*ldb+ncb]
-				for j, bv := range bp {
-					ci[j] = math.FMA(avs, float64(bv), ci[j])
-				}
-			}
-		}
-		return
-	}
-	kernelVectorCount[TierF32].Add(1)
-	i := 0
-	if rows >= 4 {
-		var as0, as1, as2, as3 [kcBlock]float64
-		for ; i+4 <= rows; i += 4 {
-			scaleRow(as0[:kcb], a[i*lda:i*lda+kcb], scale)
-			scaleRow(as1[:kcb], a[(i+1)*lda:(i+1)*lda+kcb], scale)
-			scaleRow(as2[:kcb], a[(i+2)*lda:(i+2)*lda+kcb], scale)
-			scaleRow(as3[:kcb], a[(i+3)*lda:(i+3)*lda+kcb], scale)
-			ci := i * ldc
-			j := 0
-			for ; j+8 <= ncb; j += 8 {
-				fmaDot4x8B32Assign(kcb, as0[:kcb], as1[:kcb], as2[:kcb], as3[:kcb], b[j:], ldb,
-					c[ci+j:ci+j+8], c[ci+ldc+j:ci+ldc+j+8],
-					c[ci+2*ldc+j:ci+2*ldc+j+8], c[ci+3*ldc+j:ci+3*ldc+j+8])
-			}
-			if j < ncb {
-				gemmPanelAssignF32BAxpy(4, ncb-j, kcb, a[i*lda:], lda, scale, b[j:], ldb, c[ci+j:], ldc)
-			}
-		}
-	}
-	if i < rows {
-		gemmPanelAssignF32BAxpy(rows-i, ncb, kcb, a[i*lda:], lda, scale, b, ldb, c[i*ldc:], ldc)
-	}
-}
-
-// gemmPanelAssignF32BAxpy is the quad-axpy tail path of gemmPanelAssignF32B.
-func gemmPanelAssignF32BAxpy(rows, ncb, kcb int, a []float64, lda int, scale float64, b []float32, ldb int, c []float64, ldc int) {
-	var a0s, a1s [4]float64
-	i := 0
-	for ; i+2 <= rows; i += 2 {
-		ai0 := a[i*lda : i*lda+kcb]
-		ai1 := a[(i+1)*lda : (i+1)*lda+kcb]
-		ci0 := c[i*ldc : i*ldc+ncb]
-		ci1 := c[(i+1)*ldc : (i+1)*ldc+ncb]
-		p := 0
-		if kcb >= 4 {
-			for q := 0; q < 4; q++ {
-				a0s[q] = ai0[q] * scale
-				a1s[q] = ai1[q] * scale
-			}
-			axpyQuad2AssignF32(ci0, ci1,
-				b[0:ncb], b[ldb:ldb+ncb], b[2*ldb:2*ldb+ncb], b[3*ldb:3*ldb+ncb],
-				a0s[:], a1s[:])
-			p = 4
-		} else {
-			a0v, a1v := ai0[0]*scale, ai1[0]*scale
-			for j, bv := range b[0:ncb] {
-				bw := float64(bv)
-				ci0[j] = a0v * bw
-				ci1[j] = a1v * bw
-			}
-			p = 1
-		}
-		for ; p+4 <= kcb; p += 4 {
-			for q := 0; q < 4; q++ {
-				a0s[q] = ai0[p+q] * scale
-				a1s[q] = ai1[p+q] * scale
-			}
-			axpyQuad2F32(ci0, ci1,
-				b[p*ldb:p*ldb+ncb], b[(p+1)*ldb:(p+1)*ldb+ncb],
-				b[(p+2)*ldb:(p+2)*ldb+ncb], b[(p+3)*ldb:(p+3)*ldb+ncb],
-				a0s[:], a1s[:])
-		}
-		for ; p < kcb; p++ {
-			a0v, a1v := ai0[p]*scale, ai1[p]*scale
-			bp := b[p*ldb : p*ldb+ncb]
-			for j, bv := range bp {
-				bw := float64(bv)
-				ci0[j] = math.FMA(a0v, bw, ci0[j])
-				ci1[j] = math.FMA(a1v, bw, ci1[j])
-			}
-		}
-	}
-	if i < rows {
-		ai := a[i*lda : i*lda+kcb]
-		ci := c[i*ldc : i*ldc+ncb]
-		p := 0
-		if kcb >= 4 {
-			for q := 0; q < 4; q++ {
-				a0s[q] = ai[q] * scale
-			}
-			axpyQuad1AssignF32(ci,
-				b[0:ncb], b[ldb:ldb+ncb], b[2*ldb:2*ldb+ncb], b[3*ldb:3*ldb+ncb],
-				a0s[:])
-			p = 4
-		} else {
-			av := ai[0] * scale
-			for j, bv := range b[0:ncb] {
-				ci[j] = av * float64(bv)
-			}
-			p = 1
-		}
-		for ; p+4 <= kcb; p += 4 {
-			for q := 0; q < 4; q++ {
-				a0s[q] = ai[p+q] * scale
-			}
-			axpyQuad1F32(ci,
-				b[p*ldb:p*ldb+ncb], b[(p+1)*ldb:(p+1)*ldb+ncb],
-				b[(p+2)*ldb:(p+2)*ldb+ncb], b[(p+3)*ldb:(p+3)*ldb+ncb],
-				a0s[:])
-		}
-		for ; p < kcb; p++ {
-			av := ai[p] * scale
-			bp := b[p*ldb : p*ldb+ncb]
-			for j, bv := range bp {
-				ci[j] = math.FMA(av, float64(bv), ci[j])
-			}
-		}
-	}
-}
-
 // --- f32 A-layout panels (conv orientation: PackedMat32 left operand) ---
 
 // gemmPanelF32A computes C[rows×ncb] += (scale · A32[rows×kcb]) · B32[kcb×ncb]
@@ -574,139 +328,6 @@ func gemmPanelF32AAxpy(rows, ncb, kcb int, a []float32, lda int, scale float64, 
 		ai := a[i*lda : i*lda+kcb]
 		ci := c[i*ldc : i*ldc+ncb]
 		p := 0
-		for ; p+4 <= kcb; p += 4 {
-			for q := 0; q < 4; q++ {
-				a0s[q] = float64(ai[p+q]) * scale
-			}
-			axpyQuad1F32(ci,
-				b[p*ldb:p*ldb+ncb], b[(p+1)*ldb:(p+1)*ldb+ncb],
-				b[(p+2)*ldb:(p+2)*ldb+ncb], b[(p+3)*ldb:(p+3)*ldb+ncb],
-				a0s[:])
-		}
-		for ; p < kcb; p++ {
-			av := float64(ai[p]) * scale
-			bp := b[p*ldb : p*ldb+ncb]
-			for j, bv := range bp {
-				ci[j] = math.FMA(av, float64(bv), ci[j])
-			}
-		}
-	}
-}
-
-// gemmPanelAssignF32A is gemmPanelF32A with β=0.
-func gemmPanelAssignF32A(rows, ncb, kcb int, a []float32, lda int, scale float64, b []float32, ldb int, c []float64, ldc int) {
-	if !(useFMA && ncb >= vecMinCols) {
-		kernelScalarCount[TierF32].Add(1)
-		for i := 0; i < rows; i++ {
-			ai := a[i*lda : i*lda+kcb]
-			ci := c[i*ldc : i*ldc+ncb]
-			avs := float64(ai[0]) * scale
-			for j, bv := range b[0:ncb] {
-				ci[j] = avs * float64(bv)
-			}
-			for p := 1; p < kcb; p++ {
-				avs := float64(ai[p]) * scale
-				bp := b[p*ldb : p*ldb+ncb]
-				for j, bv := range bp {
-					ci[j] = math.FMA(avs, float64(bv), ci[j])
-				}
-			}
-		}
-		return
-	}
-	kernelVectorCount[TierF32].Add(1)
-	i := 0
-	if rows >= 4 {
-		var as0, as1, as2, as3 [kcBlock]float64
-		for ; i+4 <= rows; i += 4 {
-			widenScaleRow(as0[:kcb], a[i*lda:i*lda+kcb], scale)
-			widenScaleRow(as1[:kcb], a[(i+1)*lda:(i+1)*lda+kcb], scale)
-			widenScaleRow(as2[:kcb], a[(i+2)*lda:(i+2)*lda+kcb], scale)
-			widenScaleRow(as3[:kcb], a[(i+3)*lda:(i+3)*lda+kcb], scale)
-			ci := i * ldc
-			j := 0
-			for ; j+8 <= ncb; j += 8 {
-				fmaDot4x8B32Assign(kcb, as0[:kcb], as1[:kcb], as2[:kcb], as3[:kcb], b[j:], ldb,
-					c[ci+j:ci+j+8], c[ci+ldc+j:ci+ldc+j+8],
-					c[ci+2*ldc+j:ci+2*ldc+j+8], c[ci+3*ldc+j:ci+3*ldc+j+8])
-			}
-			if j < ncb {
-				gemmPanelAssignF32AAxpy(4, ncb-j, kcb, a[i*lda:], lda, scale, b[j:], ldb, c[ci+j:], ldc)
-			}
-		}
-	}
-	if i < rows {
-		gemmPanelAssignF32AAxpy(rows-i, ncb, kcb, a[i*lda:], lda, scale, b, ldb, c[i*ldc:], ldc)
-	}
-}
-
-// gemmPanelAssignF32AAxpy is the quad-axpy tail path of gemmPanelAssignF32A.
-func gemmPanelAssignF32AAxpy(rows, ncb, kcb int, a []float32, lda int, scale float64, b []float32, ldb int, c []float64, ldc int) {
-	var a0s, a1s [4]float64
-	i := 0
-	for ; i+2 <= rows; i += 2 {
-		ai0 := a[i*lda : i*lda+kcb]
-		ai1 := a[(i+1)*lda : (i+1)*lda+kcb]
-		ci0 := c[i*ldc : i*ldc+ncb]
-		ci1 := c[(i+1)*ldc : (i+1)*ldc+ncb]
-		p := 0
-		if kcb >= 4 {
-			for q := 0; q < 4; q++ {
-				a0s[q] = float64(ai0[q]) * scale
-				a1s[q] = float64(ai1[q]) * scale
-			}
-			axpyQuad2AssignF32(ci0, ci1,
-				b[0:ncb], b[ldb:ldb+ncb], b[2*ldb:2*ldb+ncb], b[3*ldb:3*ldb+ncb],
-				a0s[:], a1s[:])
-			p = 4
-		} else {
-			a0v, a1v := float64(ai0[0])*scale, float64(ai1[0])*scale
-			for j, bv := range b[0:ncb] {
-				bw := float64(bv)
-				ci0[j] = a0v * bw
-				ci1[j] = a1v * bw
-			}
-			p = 1
-		}
-		for ; p+4 <= kcb; p += 4 {
-			for q := 0; q < 4; q++ {
-				a0s[q] = float64(ai0[p+q]) * scale
-				a1s[q] = float64(ai1[p+q]) * scale
-			}
-			axpyQuad2F32(ci0, ci1,
-				b[p*ldb:p*ldb+ncb], b[(p+1)*ldb:(p+1)*ldb+ncb],
-				b[(p+2)*ldb:(p+2)*ldb+ncb], b[(p+3)*ldb:(p+3)*ldb+ncb],
-				a0s[:], a1s[:])
-		}
-		for ; p < kcb; p++ {
-			a0v, a1v := float64(ai0[p])*scale, float64(ai1[p])*scale
-			bp := b[p*ldb : p*ldb+ncb]
-			for j, bv := range bp {
-				bw := float64(bv)
-				ci0[j] = math.FMA(a0v, bw, ci0[j])
-				ci1[j] = math.FMA(a1v, bw, ci1[j])
-			}
-		}
-	}
-	if i < rows {
-		ai := a[i*lda : i*lda+kcb]
-		ci := c[i*ldc : i*ldc+ncb]
-		p := 0
-		if kcb >= 4 {
-			for q := 0; q < 4; q++ {
-				a0s[q] = float64(ai[q]) * scale
-			}
-			axpyQuad1AssignF32(ci,
-				b[0:ncb], b[ldb:ldb+ncb], b[2*ldb:2*ldb+ncb], b[3*ldb:3*ldb+ncb],
-				a0s[:])
-			p = 4
-		} else {
-			av := float64(ai[0]) * scale
-			for j, bv := range b[0:ncb] {
-				ci[j] = av * float64(bv)
-			}
-			p = 1
-		}
 		for ; p+4 <= kcb; p += 4 {
 			for q := 0; q < 4; q++ {
 				a0s[q] = float64(ai[p+q]) * scale

@@ -7,8 +7,10 @@ package tensor
 // fma and f32 tiers are bit-deterministic across the vector/scalar dispatch
 // boundary even though they are not bit-identical to the exact tier. The F32
 // variants take float32 B panels and widen each lane to f64 on load
-// (VCVTPS2PD); accumulation stays f64 throughout. Detection is at process
-// start via CPUID; non-FMA hosts stay on the math.FMA scalar loops.
+// (VCVTPS2PD); accumulation stays f64 throughout. Every kernel loads C and
+// accumulates into it; assign-mode callers zero the C tile first. Detection
+// is at process start via CPUID; non-FMA hosts stay on the math.FMA scalar
+// loops.
 
 // useFMA gates the fused vector kernels; overridable in tests to pin the
 // vector/scalar determinism of the fast tiers.
@@ -28,21 +30,10 @@ func cpuHasFMA() bool
 //go:noescape
 func axpyQuad2FMA(c0, c1, b0, b1, b2, b3, a0, a1 []float64)
 
-// axpyQuad2AssignFMA is axpyQuad2FMA with β=0: the chain seeds with
-// a[0]·b0[j] (one rounding) instead of loading C.
-//
-//go:noescape
-func axpyQuad2AssignFMA(c0, c1, b0, b1, b2, b3, a0, a1 []float64)
-
 // axpyQuad1FMA is the one-row form of axpyQuad2FMA.
 //
 //go:noescape
 func axpyQuad1FMA(c0, b0, b1, b2, b3, a0 []float64)
-
-// axpyQuad1AssignFMA is axpyQuad1FMA with β=0.
-//
-//go:noescape
-func axpyQuad1AssignFMA(c0, b0, b1, b2, b3, a0 []float64)
 
 // fmaDot4x8 is the C-resident 4×8 dot micro-kernel: it computes, for four C
 // row slices c0..c3 (each at least 8 wide) against four A row slices a0..a3
@@ -58,12 +49,6 @@ func axpyQuad1AssignFMA(c0, b0, b1, b2, b3, a0 []float64)
 //go:noescape
 func fmaDot4x8(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64)
 
-// fmaDot4x8Assign is fmaDot4x8 with β=0: each chain seeds with a·b at k=0
-// (one rounding) instead of loading C. kcb must be ≥ 1.
-//
-//go:noescape
-func fmaDot4x8Assign(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, c3 []float64)
-
 // fmaDot4x8B32 is fmaDot4x8 over a float32 B panel: B lanes widen to f64 on
 // load (VCVTPS2PD, exact), so the arithmetic — and the result, given equal
 // inputs — is identical to fmaDot4x8 on pre-widened operands. A PackedMat32
@@ -71,11 +56,6 @@ func fmaDot4x8Assign(kcb int, a0, a1, a2, a3, b []float64, ldb int, c0, c1, c2, 
 //
 //go:noescape
 func fmaDot4x8B32(kcb int, a0, a1, a2, a3 []float64, b []float32, ldb int, c0, c1, c2, c3 []float64)
-
-// fmaDot4x8B32Assign is fmaDot4x8B32 with β=0. kcb must be ≥ 1.
-//
-//go:noescape
-func fmaDot4x8B32Assign(kcb int, a0, a1, a2, a3 []float64, b []float32, ldb int, c0, c1, c2, c3 []float64)
 
 // cvtPD2PS narrows dst[i] = float32(src[i]) for i in [0, len(src)) with
 // round-to-nearest-even — bit-identical to Go's conversion, ~4 lanes per
@@ -94,17 +74,7 @@ func cvtPD2PS(dst []float32, src []float64)
 //go:noescape
 func axpyQuad2F32(c0, c1 []float64, b0, b1, b2, b3 []float32, a0, a1 []float64)
 
-// axpyQuad2AssignF32 is axpyQuad2F32 with β=0.
-//
-//go:noescape
-func axpyQuad2AssignF32(c0, c1 []float64, b0, b1, b2, b3 []float32, a0, a1 []float64)
-
 // axpyQuad1F32 is the one-row form of axpyQuad2F32.
 //
 //go:noescape
 func axpyQuad1F32(c0 []float64, b0, b1, b2, b3 []float32, a0 []float64)
-
-// axpyQuad1AssignF32 is axpyQuad1F32 with β=0.
-//
-//go:noescape
-func axpyQuad1AssignF32(c0 []float64, b0, b1, b2, b3 []float32, a0 []float64)

@@ -35,7 +35,7 @@ import (
 //   - A-layout (PackA): the m×k left operand, stored as one m×kcb row-major
 //     panel (ld = kcb) per kc block, panels concatenated in k order. Row i of
 //     k-panel pc starts at m·pc + i·kcb.
-//   - B-layout (PackB, PackTB): the k×n right operand, stored as kcb×ncb
+//   - B-layout (PackTB): the k×n right operand, stored as kcb×ncb
 //     row-major tiles (ld = ncb), k-major then n: the tile covering
 //     (pc, jc) starts at pc·n + kcb·jc.
 //
@@ -124,27 +124,9 @@ func PackA(m, k int, a []float64, lda int) *PackedMat {
 	return p
 }
 
-// PackB packs the straight right operand B[k×n] (row stride ldb) into
-// B-layout tiles for GemmTBPackedEx-style consumption via GemmPackedBEx.
-func PackB(k, n int, b []float64, ldb int) *PackedMat {
-	checkMat("PackB B", k, n, ldb, len(b))
-	p := &PackedMat{rows: k, cols: n, data: make([]float64, k*n)}
-	for pc := 0; pc < k; pc += kcBlock {
-		kcb := min(kcBlock, k-pc)
-		for jc := 0; jc < n; jc += ncBlock {
-			ncb := min(ncBlock, n-jc)
-			dst := p.data[pc*n+kcb*jc:]
-			for pp := 0; pp < kcb; pp++ {
-				copy(dst[pp*ncb:(pp+1)*ncb], b[(pc+pp)*ldb+jc:(pc+pp)*ldb+jc+ncb])
-			}
-		}
-	}
-	return p
-}
-
 // PackTB packs a transposed right operand — B stored [n×k] with row stride
 // ldb, consumed as Bᵀ[k×n] (the GemmTB orientation: a dense layer's
-// [Out × In] weight) — into the same B-layout tiles as PackB.
+// [Out × In] weight) — into B-layout tiles.
 func PackTB(n, k int, b []float64, ldb int) *PackedMat {
 	checkMat("PackTB B", n, k, ldb, len(b))
 	p := &PackedMat{rows: k, cols: n, data: make([]float64, k*n)}
@@ -293,17 +275,17 @@ func GemmPackedExT(tier EngineTier, m, n, k int, pa Packed, b []float64, ldb int
 	// offset at all — every worker streams the same panels.
 	gemmFanoutRun(n, (n+colW-1)/colW, ep, func(lo, hi int, wep *Epilogue) {
 		if p32 != nil {
-			gemmBlockedPackedACols32(m, hi-lo, k, p32, b[lo:], ldb, c[lo:], ldc, wep, lo)
+			gemmBlockedPackedA32(m, 0, hi-lo, k, p32, b[lo:], ldb, c[lo:], ldc, wep, lo)
 		} else {
-			gemmBlockedPackedACols(tier, m, hi-lo, k, pm, b[lo:], ldb, c[lo:], ldc, wep, lo)
+			gemmBlockedPackedA(tier, m, 0, hi-lo, k, pm, b[lo:], ldb, c[lo:], ldc, wep, lo)
 		}
 	})
 }
 
 // GemmTBPackedEx computes C[m×n] = epilogue(A · Bᵀ) with B pre-packed
-// (PackTB of the [n×k]-stored operand, or PackB of a straight k×n one) and a
-// streamed A — assign mode, like GemmTBEx. This is the dense-layer
-// orientation: the immutable [Out × In] weight is Bᵀ, the activations are A.
+// (PackTB of the [n×k]-stored operand) and a streamed A — assign mode, like
+// GemmTBEx. This is the dense-layer orientation: the immutable [Out × In]
+// weight is Bᵀ, the activations are A.
 // Results are bit-identical to the unpacked blocked engine (the gemmParallel
 // path GemmTBEx takes above its small-product threshold) on the same
 // operands, at any GOMAXPROCS.
@@ -317,7 +299,7 @@ func GemmTBPackedExT(tier EngineTier, m, n, k int, a []float64, lda int, pb Pack
 	pm, _ := pb.(*PackedMat)
 	p32, _ := pb.(*PackedMat32)
 	if (pm == nil || pm.aLayout) && (p32 == nil || p32.aLayout) {
-		panic("tensor: GemmTBPackedEx: B operand is not a B-layout pack (PackTB/PackB/PackTB32)")
+		panic("tensor: GemmTBPackedEx: B operand is not a B-layout pack (PackTB/PackTB32)")
 	}
 	pr, pc := pb.Dims()
 	if pr != k || pc != n {
@@ -365,22 +347,15 @@ func GemmTBPackedExT(tier EngineTier, m, n, k int, a []float64, lda int, pb Pack
 	})
 }
 
-// gemmAssignEmptyK fulfils the assign-mode contract for k = 0: the empty sum
-// overwrites the product region with zeros, then the epilogue runs.
-func gemmAssignEmptyK(m, n int, c []float64, ldc int, ep *Epilogue) {
-	for i := 0; i < m; i++ {
-		clear(c[i*ldc : i*ldc+n])
-	}
-	if ep != nil {
-		applyEpilogue(m, n, c, ldc, ep, 0, 0)
-	}
-}
-
 // gemmBlockedPackedA is the serial blocked engine over a packed A: C[rows×n]
 // = A[rowLo:rowLo+rows, :]·B under the epilogue, with c pointing at the
-// window's top-left element. Loop structure and per-element accumulation
-// order match gemmBlocked with a streamed non-transposed A exactly; only the
-// A addressing differs (contiguous panels, ld = kcb).
+// window's top-left element. A row split passes its row offset as rowLo; a
+// column split passes rowLo = 0 with b and c already offset and colOff
+// locating the window in the epilogue's column vectors. Each C tile is zeroed
+// just before its first k-panel (assign mode). Loop structure and
+// per-element accumulation order match gemmBlocked with a streamed
+// non-transposed A exactly; only the A addressing differs (contiguous
+// panels, ld = kcb).
 func gemmBlockedPackedA(tier EngineTier, rows, rowLo, n, k int, pa *PackedMat, b []float64, ldb int, c []float64, ldc int, ep *Epilogue, colOff int) {
 	m := pa.rows
 	for pc := 0; pc < k; pc += kcBlock {
@@ -391,10 +366,9 @@ func gemmBlockedPackedA(tier EngineTier, rows, rowLo, n, k int, pa *PackedMat, b
 		for jc := 0; jc < n; jc += ncBlock {
 			ncb := min(ncBlock, n-jc)
 			if first {
-				gemmPanelAssignT(tier, rows, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
-			} else {
-				gemmPanelT(tier, rows, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
+				zeroTile(rows, ncb, c[jc:], ldc)
 			}
+			gemmPanelT(tier, rows, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
 			if last && ep != nil {
 				applyEpilogue(rows, ncb, c[jc:], ldc, ep, rowLo, colOff+jc)
 			}
@@ -402,7 +376,7 @@ func gemmBlockedPackedA(tier EngineTier, rows, rowLo, n, k int, pa *PackedMat, b
 	}
 }
 
-// castPool recycles the f32 B-tile scratch of the packed-A32 drivers: one
+// castPool recycles the f32 B-tile scratch of the packed-A32 driver: one
 // kcBlock×ncBlock tile per concurrent caller (a row-split fan-out casts the
 // same tile once per worker, like the per-worker packTrans of the unpacked
 // engine — redundant work traded for zero coordination).
@@ -456,62 +430,11 @@ func gemmBlockedPackedA32(rows, rowLo, n, k int, pa *PackedMat32, b []float64, l
 			ncb := min(ncBlock, n-jc)
 			castTile(b32, kcb, ncb, b[pc*ldb+jc:], ldb)
 			if first {
-				gemmPanelAssignF32A(rows, ncb, kcb, ablk, kcb, s, b32, ncb, c[jc:], ldc)
-			} else {
-				gemmPanelF32A(rows, ncb, kcb, ablk, kcb, s, b32, ncb, c[jc:], ldc)
+				zeroTile(rows, ncb, c[jc:], ldc)
 			}
+			gemmPanelF32A(rows, ncb, kcb, ablk, kcb, s, b32, ncb, c[jc:], ldc)
 			if last && ep != nil {
 				applyEpilogue(rows, ncb, c[jc:], ldc, ep, rowLo, colOff+jc)
-			}
-		}
-	}
-}
-
-// gemmBlockedPackedACols is gemmBlockedPackedA for a column split: the
-// worker's B/C windows start at logical column colOff, while the full-height
-// A pack is shared untranslated.
-func gemmBlockedPackedACols(tier EngineTier, m, cols, k int, pa *PackedMat, b []float64, ldb int, c []float64, ldc int, ep *Epilogue, colOff int) {
-	for pc := 0; pc < k; pc += kcBlock {
-		kcb := min(kcBlock, k-pc)
-		first := pc == 0
-		last := pc+kcb == k
-		ablk := pa.data[m*pc:]
-		for jc := 0; jc < cols; jc += ncBlock {
-			ncb := min(ncBlock, cols-jc)
-			if first {
-				gemmPanelAssignT(tier, m, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
-			} else {
-				gemmPanelT(tier, m, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
-			}
-			if last && ep != nil {
-				applyEpilogue(m, ncb, c[jc:], ldc, ep, 0, colOff+jc)
-			}
-		}
-	}
-}
-
-// gemmBlockedPackedACols32 is gemmBlockedPackedACols over an f32 A pack,
-// with the same pooled per-tile B narrowing as gemmBlockedPackedA32.
-func gemmBlockedPackedACols32(m, cols, k int, pa *PackedMat32, b []float64, ldb int, c []float64, ldc int, ep *Epilogue, colOff int) {
-	buf := castPool.Get().(*[]float32)
-	defer castPool.Put(buf)
-	b32 := *buf
-	for pc := 0; pc < k; pc += kcBlock {
-		kcb := min(kcBlock, k-pc)
-		first := pc == 0
-		last := pc+kcb == k
-		ablk := pa.data[m*pc:]
-		s := pa.scales[pc/kcBlock]
-		for jc := 0; jc < cols; jc += ncBlock {
-			ncb := min(ncBlock, cols-jc)
-			castTile(b32, kcb, ncb, b[pc*ldb+jc:], ldb)
-			if first {
-				gemmPanelAssignF32A(m, ncb, kcb, ablk, kcb, s, b32, ncb, c[jc:], ldc)
-			} else {
-				gemmPanelF32A(m, ncb, kcb, ablk, kcb, s, b32, ncb, c[jc:], ldc)
-			}
-			if last && ep != nil {
-				applyEpilogue(m, ncb, c[jc:], ldc, ep, 0, colOff+jc)
 			}
 		}
 	}
@@ -522,7 +445,7 @@ func gemmBlockedPackedACols32(m, cols, k int, pa *PackedMat32, b []float64, ldb 
 // window's top-left element and rowOff locating it in the epilogue's row
 // vectors. colLo must be a multiple of ncBlock (or 0) so the jc loop lands on
 // the pack's tile starts; the serial caller passes 0 and the parallel caller
-// aligns its split.
+// aligns its split. Each C tile is zeroed just before its first k-panel.
 func gemmBlockedPackedB(tier EngineTier, m, cols, colLo, k int, a []float64, lda int, pb *PackedMat, c []float64, ldc int, ep *Epilogue, rowOff int) {
 	n := pb.cols
 	for pc := 0; pc < k; pc += kcBlock {
@@ -534,10 +457,9 @@ func gemmBlockedPackedB(tier EngineTier, m, cols, colLo, k int, a []float64, lda
 			ncb := min(ncBlock, cols-jcl)
 			bp := pb.data[pc*n+kcb*jc:]
 			if first {
-				gemmPanelAssignT(tier, m, ncb, kcb, a[pc:], lda, bp, ncb, c[jcl:], ldc)
-			} else {
-				gemmPanelT(tier, m, ncb, kcb, a[pc:], lda, bp, ncb, c[jcl:], ldc)
+				zeroTile(m, ncb, c[jcl:], ldc)
 			}
+			gemmPanelT(tier, m, ncb, kcb, a[pc:], lda, bp, ncb, c[jcl:], ldc)
 			if last && ep != nil {
 				applyEpilogue(m, ncb, c[jcl:], ldc, ep, rowOff, jc)
 			}
@@ -561,10 +483,9 @@ func gemmBlockedPackedB32(m, cols, colLo, k int, a []float64, lda int, pb *Packe
 			bp := pb.data[pc*n+kcb*jc:]
 			s := pb.scales[(pc/kcBlock)*nJc+jc/ncBlock]
 			if first {
-				gemmPanelAssignF32B(m, ncb, kcb, a[pc:], lda, s, bp, ncb, c[jcl:], ldc)
-			} else {
-				gemmPanelF32B(m, ncb, kcb, a[pc:], lda, s, bp, ncb, c[jcl:], ldc)
+				zeroTile(m, ncb, c[jcl:], ldc)
 			}
+			gemmPanelF32B(m, ncb, kcb, a[pc:], lda, s, bp, ncb, c[jcl:], ldc)
 			if last && ep != nil {
 				applyEpilogue(m, ncb, c[jcl:], ldc, ep, rowOff, jc)
 			}

@@ -47,12 +47,6 @@ func packedCase(t *testing.T, m, n, k, lda, ldbT, ldbS, ldc int, ep *Epilogue) {
 	gemmParallel(TierExact, m, n, k, a, lda, false, bt, ldbT, true, want2, ldc, true, ep)
 	GemmTBPackedEx(m, n, k, a, lda, PackTB(n, k, bt, ldbT), got2, ldc, ep)
 	check("GemmTBPackedEx", got2, want2)
-
-	// PackB of the straight operand must behave exactly like PackTB of its
-	// transpose — same tiles, same consumer.
-	got3 := append([]float64(nil), want...)
-	GemmTBPackedEx(m, n, k, a, lda, PackB(k, n, bs, ldbS), got3, ldc, ep)
-	check("GemmTBPackedEx/PackB", got3, want)
 }
 
 // TestPackedGemmDeterministicShapes sweeps shapes across the kc/nc panel
@@ -190,13 +184,13 @@ func TestPackedMatDims(t *testing.T) {
 	if p.Bytes() != 70*300*8 {
 		t.Fatalf("PackA bytes = %d, want %d", p.Bytes(), 70*300*8)
 	}
-	b := make([]float64, 300*70)
-	pb := PackB(300, 70, b, 70)
+	b := make([]float64, 70*300)
+	pb := PackTB(70, 300, b, 300)
 	if r, c := pb.Dims(); r != 300 || c != 70 {
-		t.Fatalf("PackB dims = %d×%d, want 300×70", r, c)
+		t.Fatalf("PackTB dims = %d×%d, want 300×70", r, c)
 	}
 	if pb.Bytes() != 300*70*8 {
-		t.Fatalf("PackB bytes = %d, want %d", pb.Bytes(), 300*70*8)
+		t.Fatalf("PackTB bytes = %d, want %d", pb.Bytes(), 300*70*8)
 	}
 }
 
