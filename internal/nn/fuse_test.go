@@ -287,3 +287,64 @@ func TestFusedInferAllocsFree(t *testing.T) {
 		t.Fatalf("fused arena-backed inference allocates %v times per pass, want 0", allocs)
 	}
 }
+
+// TestFusedNormReLUEdgeValues pins the fused GroupNorm→ReLU clamp to the
+// ReLU layer bit for bit where the two could disagree: special values fed
+// to the clamp directly, and normalized values that are NaN (a group
+// holding NaN or ±Inf) or −0 (a constant group, where v − μ = +0, scaled by
+// a negative γ and shifted by β = −0). Both must come out +0. Rank 2
+// (hw = 1) and 16×16 bracket the write loop's trip count.
+func TestFusedNormReLUEdgeValues(t *testing.T) {
+	// The clamp itself, at the edges of the bit-pattern range it keeps:
+	// every NaN (both signs, quiet and signalling, any payload), ±0, ±Inf
+	// and the extreme finite values.
+	specials := []float64{
+		math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0x7ff8000000000000),
+		math.Float64frombits(0xfff8000000000000), math.Float64frombits(0xffffffffffffffff),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1, -1,
+	}
+	relu := NewReLU().Infer(&Context{Rate: 1}, tensor.FromSlice(specials, len(specials)))
+	for i, v := range specials {
+		if got := reluClamp(v); math.Float64bits(got) != math.Float64bits(relu.Data[i]) {
+			t.Fatalf("reluClamp(%#x) = %g, ReLU gives %g", math.Float64bits(v), got, relu.Data[i])
+		}
+	}
+
+	rng := rand.New(rand.NewSource(45))
+	gn := NewGroupNorm(16, 4, Sliced(4), 1e-5)
+	for i := range gn.Gamma.Value.Data {
+		gn.Gamma.Value.Data[i] = -0.5 - rng.Float64()
+		gn.Beta.Value.Data[i] = math.Copysign(0, -1)
+	}
+	chain := NewSequential(gn, NewReLU())
+	fused := Fuse(chain)
+	for _, r := range inferRates {
+		aC := gn.Spec.Active(r, gn.C)
+		for _, shape := range [][]int{{3, aC}, {2, aC, 3, 3}, {2, aC, 16, 16}} {
+			x := randTensor(rng, shape...)
+			per := x.Size() / shape[0]
+			gsz := per / (aC / 4) // elements per (sample, norm group)
+			// Sample 0: group 0 constant (−0 outputs), group 1 holds a NaN.
+			// Sample 1: group 0 holds +Inf (NaN statistics).
+			for j := 0; j < gsz; j++ {
+				x.Data[j] = 0.75
+			}
+			x.Data[gsz+gsz/2] = math.NaN()
+			x.Data[per] = math.Inf(1)
+
+			// The unfused chain really does produce −0 and NaN here.
+			pre := Infer(gn, &Context{Rate: r}, x)
+			if math.Float64bits(pre.Data[0]) != math.Float64bits(math.Copysign(0, -1)) || !math.IsNaN(pre.Data[gsz]) {
+				t.Fatalf("r=%v %v: norm output %g, %g; want −0 and NaN", r, shape, pre.Data[0], pre.Data[gsz])
+			}
+			want := Infer(chain, &Context{Rate: r}, x)
+			got := Infer(fused, &Context{Rate: r, Arena: tensor.NewArena()}, x)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("r=%v %v: fused[%d] = %g, unfused = %g", r, shape, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}

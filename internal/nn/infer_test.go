@@ -78,6 +78,14 @@ func TestInferMatchesForwardNorms(t *testing.T) {
 		checkInferMatchesForward(t, "GroupNorm-2d", g, randTensor(rng, 4, aC), r, 0)
 	}
 
+	// hw = 1 (rank 2) and hw = 256 (16×16, VGG13Mini's first stage) bracket
+	// the per-channel write loop's trip count.
+	for _, r := range inferRates {
+		aC := g.Spec.Active(r, g.C)
+		checkInferMatchesForward(t, "GroupNorm-2d-wide", g, randTensor(rng, 3, aC), r, 0)
+		checkInferMatchesForward(t, "GroupNorm-16x16", g, randTensor(rng, 2, aC, 16, 16), r, 0)
+	}
+
 	b := NewBatchNorm(16, Sliced(4))
 	// Train once at full width so the running statistics are non-trivial.
 	b.Forward(&Context{Training: true, Rate: 1}, randTensor(rng, 6, 16, 3, 3))

@@ -343,3 +343,61 @@ func TestConvSequentialGradCheckEndToEnd(t *testing.T) {
 		t.Fatalf("half: %v", err)
 	}
 }
+
+// TestMaxPoolInferEdgeValues pins Infer to Forward bit for bit on windows
+// holding NaN, ±0, ±Inf and all-NaN, on shapes that take the 2×2 row-pair
+// path (even H and W) and shapes that take the generic loop (odd H or W,
+// 3×3 windows).
+func TestMaxPoolInferEdgeValues(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	specials := []float64{nan, 0, negZero, inf, -inf, 1, -1}
+	rng := rand.New(rand.NewSource(37))
+	fill := func(x *tensor.Tensor) {
+		for i := range x.Data {
+			if rng.Intn(2) == 0 {
+				x.Data[i] = specials[rng.Intn(len(specials))]
+			} else {
+				x.Data[i] = rng.NormFloat64()
+			}
+		}
+	}
+	for _, tc := range []struct{ k, stride, h, w int }{
+		{2, 2, 4, 6}, {2, 2, 16, 16}, {2, 2, 2, 2},
+		{2, 2, 5, 4}, {2, 2, 4, 5}, {2, 2, 3, 3}, {3, 2, 7, 7},
+	} {
+		p := NewMaxPool2D(tc.k, tc.stride)
+		for trial := 0; trial < 20; trial++ {
+			x := tensor.New(2, 3, tc.h, tc.w)
+			fill(x)
+			want := p.Forward(Eval(1), x)
+			got := p.Infer(&Context{Rate: 1, Arena: tensor.NewArena()}, x)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%+v trial %d: Infer[%d] = %g, Forward = %g", tc, trial, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+	// The semantics both paths share, on hand-built 2×2 windows.
+	for _, tc := range []struct {
+		win  [4]float64
+		want float64
+	}{
+		{[4]float64{nan, nan, nan, nan}, math.Inf(-1)}, // NaN never wins
+		{[4]float64{nan, 1, nan, 2}, 2},
+		{[4]float64{negZero, 0, nan, math.Inf(-1)}, negZero}, // first of ±0 kept
+		{[4]float64{0, negZero, nan, math.Inf(-1)}, 0},
+		{[4]float64{math.Inf(-1), math.Inf(-1), nan, math.Inf(-1)}, math.Inf(-1)},
+		{[4]float64{-3, inf, nan, 5}, inf},
+	} {
+		x := tensor.FromSlice(tc.win[:], 1, 1, 2, 2)
+		for name, y := range map[string]*tensor.Tensor{
+			"Forward": NewMaxPool2D(2, 2).Forward(Eval(1), x),
+			"Infer":   NewMaxPool2D(2, 2).Infer(Eval(1), x),
+		} {
+			if math.Float64bits(y.Data[0]) != math.Float64bits(tc.want) {
+				t.Fatalf("%s(%v) = %g, want %g", name, tc.win, y.Data[0], tc.want)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"modelslicing/internal/tensor"
 )
@@ -20,8 +21,8 @@ type GroupNorm struct {
 	// NormGroups is the number of normalization groups G in Equation 6.
 	NormGroups int
 	// Spec controls channel slicing. The per-group channel count C/NormGroups
-	// must divide every reachable active width, which holds whenever
-	// Spec.Groups is a multiple of... see NewGroupNorm.
+	// must divide every reachable active width, which holds exactly when
+	// NormGroups is a multiple of Spec.Groups (see NewGroupNorm).
 	Spec SliceSpec
 	Eps  float64
 
@@ -41,14 +42,16 @@ type GroupNorm struct {
 // NewGroupNorm constructs a group-norm layer. normGroups must divide c, and
 // for sliceability the slice-group size (c/spec.Groups) must be a multiple of
 // the normalization group size (c/normGroups), i.e. normGroups must be a
-// multiple of spec.Groups or equal to it. The common configuration — used
-// throughout the experiments — is normGroups == spec.Groups.
+// multiple of spec.Groups or equal to it; otherwise a narrow slice would cut
+// a normalization group in half and the layer would panic when it serves
+// that rate. The common configuration — used throughout the experiments — is
+// normGroups == spec.Groups.
 func NewGroupNorm(c, normGroups int, spec SliceSpec, eps float64) *GroupNorm {
 	if c%normGroups != 0 {
 		panic(fmt.Sprintf("nn: GroupNorm: %d channels not divisible by %d groups", c, normGroups))
 	}
 	spec.Validate("GroupNorm", c)
-	if spec.Slice && normGroups%spec.Groups != 0 && spec.Groups%normGroups != 0 {
+	if spec.Slice && normGroups%spec.Groups != 0 {
 		panic(fmt.Sprintf("nn: GroupNorm: norm groups %d incompatible with %d slice groups", normGroups, spec.Groups))
 	}
 	g := &GroupNorm{
@@ -103,29 +106,41 @@ func (g *GroupNorm) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		dst := y.Data[b*plane : (b+1)*plane]
 		xh := g.xhat.Data[b*plane : (b+1)*plane]
 		for gi := 0; gi < ag; gi++ {
-			seg := src[gi*n : (gi+1)*n]
-			mu := 0.0
-			for _, v := range seg {
-				mu += v
-			}
-			mu /= float64(n)
-			va := 0.0
-			for _, v := range seg {
-				d := v - mu
-				va += d * d
-			}
-			va /= float64(n)
-			is := 1 / math.Sqrt(va+g.Eps)
+			mu, is := groupStats(src[gi*n:(gi+1)*n], g.Eps)
 			g.invStd[b*ag+gi] = is
-			for j, v := range seg {
-				ch := gi*gs + j/g.hw
-				h := (v - mu) * is
-				xh[gi*n+j] = h
-				dst[gi*n+j] = gamma[ch]*h + beta[ch]
+			for ch := gi * gs; ch < (gi+1)*gs; ch++ {
+				ga, be := gamma[ch], beta[ch]
+				in := src[ch*g.hw : (ch+1)*g.hw]
+				hOut := xh[ch*g.hw : (ch+1)*g.hw][:len(in)]
+				out := dst[ch*g.hw : (ch+1)*g.hw][:len(in)]
+				for j, v := range in {
+					h := (v - mu) * is
+					hOut[j] = h
+					out[j] = ga*h + be
+				}
 			}
 		}
 	}
 	return y
+}
+
+// groupStats returns the mean and 1/√(variance+eps) of one normalization
+// group. Both sums run in element order: Forward and Infer share this
+// function, and the exactness tests require their outputs to agree bit for
+// bit, so the order is part of the contract.
+func groupStats(seg []float64, eps float64) (mu, invStd float64) {
+	n := float64(len(seg))
+	for _, v := range seg {
+		mu += v
+	}
+	mu /= n
+	va := 0.0
+	for _, v := range seg {
+		d := v - mu
+		va += d * d
+	}
+	va /= n
+	return mu, 1 / math.Sqrt(va+eps)
 }
 
 // Infer normalizes the active channels group-wise per sample on the
@@ -158,39 +173,43 @@ func (g *GroupNorm) inferAct(ctx *Context, x *tensor.Tensor, relu bool) *tensor.
 		src := x.Data[b*plane : (b+1)*plane]
 		dst := y.Data[b*plane : (b+1)*plane]
 		for gi := 0; gi < ag; gi++ {
-			seg := src[gi*n : (gi+1)*n]
-			mu := 0.0
-			for _, v := range seg {
-				mu += v
-			}
-			mu /= float64(n)
-			va := 0.0
-			for _, v := range seg {
-				d := v - mu
-				va += d * d
-			}
-			va /= float64(n)
-			is := 1 / math.Sqrt(va+g.Eps)
-			if relu {
-				for j, v := range seg {
-					ch := gi*gs + j/hw
-					o := gamma[ch]*((v-mu)*is) + beta[ch]
-					// !(o > 0): NaN clamps to 0, like the ReLU layer.
-					if !(o > 0) {
-						o = 0
-					}
-					dst[gi*n+j] = o
-				}
-			} else {
-				for j, v := range seg {
-					ch := gi*gs + j/hw
-					h := (v - mu) * is
-					dst[gi*n+j] = gamma[ch]*h + beta[ch]
-				}
+			mu, is := groupStats(src[gi*n:(gi+1)*n], g.Eps)
+			// One channel at a time: γ and β are loop constants and no
+			// element pays an integer divide to find its channel.
+			for ch := gi * gs; ch < (gi+1)*gs; ch++ {
+				normChannel(dst[ch*hw:(ch+1)*hw], src[ch*hw:(ch+1)*hw], mu, is, gamma[ch], beta[ch], relu)
 			}
 		}
 	}
 	return y
+}
+
+// normChannel writes one channel of the normalized output,
+// out[j] = γ·((in[j]−μ)·σ⁻¹) + β, clamped by reluClamp when relu is set.
+func normChannel(out, in []float64, mu, is, ga, be float64, relu bool) {
+	out = out[:len(in)]
+	if relu {
+		for j, v := range in {
+			out[j] = reluClamp(ga*((v-mu)*is) + be)
+		}
+		return
+	}
+	for j, v := range in {
+		out[j] = ga*((v-mu)*is) + be
+	}
+}
+
+// reluClamp returns o when o > 0 and +0 otherwise, NaN and −0 included —
+// the ReLU layer's semantics — without a data-dependent branch. On
+// normalized activations o > 0 holds for about half the elements at random,
+// so a compare-and-jump mispredicts about half the time. o > 0 exactly when
+// its bit pattern u lies in [1, bits(+Inf)], i.e. when u−1 < bits(+Inf) as
+// unsigned integers; the borrow of that subtraction is the keep flag, and
+// its negation masks u whole or to +0.
+func reluClamp(o float64) float64 {
+	u := math.Float64bits(o)
+	_, keep := bits.Sub64(u-1, 0x7ff0000000000000, 0)
+	return math.Float64frombits(u & -keep)
 }
 
 // normShape validates a normalization input of rank 4 ([B, C, H, W]) or
@@ -229,24 +248,34 @@ func (g *GroupNorm) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 		dseg := dx.Data[b*plane : (b+1)*plane]
 		for gi := 0; gi < ag; gi++ {
 			is := g.invStd[b*ag+gi]
-			// First pass: parameter grads and the two reduction terms.
+			// First pass: parameter grads and the two reduction terms, one
+			// channel at a time (element order is unchanged).
 			sumDxhat, sumDxhatXhat := 0.0, 0.0
-			for j := 0; j < n; j++ {
-				ch := gi*gs + j/g.hw
-				gv := gseg[gi*n+j]
-				hv := xh[gi*n+j]
-				dgamma[ch] += gv * hv
-				dbeta[ch] += gv
-				dxh := gv * gamma[ch]
-				sumDxhat += dxh
-				sumDxhatXhat += dxh * hv
+			for ch := gi * gs; ch < (gi+1)*gs; ch++ {
+				ga, dga, dbe := gamma[ch], dgamma[ch], dbeta[ch]
+				gIn := gseg[ch*g.hw : (ch+1)*g.hw]
+				hIn := xh[ch*g.hw : (ch+1)*g.hw][:len(gIn)]
+				for j, gv := range gIn {
+					hv := hIn[j]
+					dga += gv * hv
+					dbe += gv
+					dxh := gv * ga
+					sumDxhat += dxh
+					sumDxhatXhat += dxh * hv
+				}
+				dgamma[ch], dbeta[ch] = dga, dbe
 			}
 			mDxhat := sumDxhat / float64(n)
 			mDxhatXhat := sumDxhatXhat / float64(n)
-			for j := 0; j < n; j++ {
-				ch := gi*gs + j/g.hw
-				dxh := gseg[gi*n+j] * gamma[ch]
-				dseg[gi*n+j] = is * (dxh - mDxhat - xh[gi*n+j]*mDxhatXhat)
+			for ch := gi * gs; ch < (gi+1)*gs; ch++ {
+				ga := gamma[ch]
+				gIn := gseg[ch*g.hw : (ch+1)*g.hw]
+				hIn := xh[ch*g.hw : (ch+1)*g.hw][:len(gIn)]
+				out := dseg[ch*g.hw : (ch+1)*g.hw][:len(gIn)]
+				for j, gv := range gIn {
+					dxh := gv * ga
+					out[j] = is * (dxh - mDxhat - hIn[j]*mDxhatXhat)
+				}
 			}
 		}
 	}
@@ -417,12 +446,7 @@ func (b *BatchNorm) inferAct(ctx *Context, x *tensor.Tensor, relu bool) *tensor.
 			off := s*plane + c*hw
 			if relu {
 				for j := 0; j < hw; j++ {
-					o := gamma[c]*(x.Data[off+j]-mu)*is + beta[c]
-					// !(o > 0): NaN clamps to 0, like the ReLU layer.
-					if !(o > 0) {
-						o = 0
-					}
-					y.Data[off+j] = o
+					y.Data[off+j] = reluClamp(gamma[c]*(x.Data[off+j]-mu)*is + beta[c])
 				}
 			} else {
 				for j := 0; j < hw; j++ {

@@ -106,13 +106,37 @@ func TestGroupNormGammaGroupMeans(t *testing.T) {
 	}
 }
 
+// TestGroupNormRejectsBadConfig covers a group count that does not divide
+// the channels, and sliced layers whose narrow slices would cut a norm
+// group in half: with 16 channels, 2 norm groups (8 channels each) and 4
+// slice groups, r = 0.25 keeps 4 channels, which the layer cannot serve.
 func TestGroupNormRejectsBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-divisible group count")
-		}
-	}()
-	NewGroupNorm(10, 4, Fixed(), 1e-5)
+	for _, tc := range []struct {
+		c, normGroups int
+		spec          SliceSpec
+	}{
+		{10, 4, Fixed()},
+		{16, 2, Sliced(4)},
+		{12, 2, Sliced(3)},
+		{24, 4, Sliced(8)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewGroupNorm(%d, %d, %+v) did not panic", tc.c, tc.normGroups, tc.spec)
+				}
+			}()
+			NewGroupNorm(tc.c, tc.normGroups, tc.spec, 1e-5)
+		}()
+	}
+	// Norm groups that are a multiple of the slice groups serve every rate;
+	// unsliced layers only need normGroups to divide c.
+	rng := rand.New(rand.NewSource(36))
+	g := NewGroupNorm(16, 8, Sliced(4), 1e-5)
+	for _, r := range inferRates {
+		Infer(g, &Context{Rate: r}, randTensor(rng, 2, g.Spec.Active(r, g.C), 3, 3))
+	}
+	NewGroupNorm(16, 2, Fixed(), 1e-5)
 }
 
 func TestBatchNormTrainingStats(t *testing.T) {

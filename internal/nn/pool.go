@@ -74,6 +74,10 @@ func (m *MaxPool2D) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	outH := tensor.ConvOutSize(h, m.K, m.Stride, 0)
 	outW := tensor.ConvOutSize(w, m.K, m.Stride, 0)
 	y := arenaOf(ctx).GetUninit(b, c, outH, outW)
+	if m.K == 2 && m.Stride == 2 && h%2 == 0 && w%2 == 0 {
+		maxPool2x2(y.Data, x.Data, b*c*h/2, w)
+		return y
+	}
 	for s := 0; s < b; s++ {
 		for ch := 0; ch < c; ch++ {
 			plane := x.Data[(s*c+ch)*h*w : (s*c+ch+1)*h*w]
@@ -99,6 +103,39 @@ func (m *MaxPool2D) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return y
+}
+
+// maxPool2x2 is the 2×2, stride-2 pool over rowPairs pairs of input rows of
+// width w (even). With even plane heights the pairs never straddle two
+// planes, so output row p is simply input rows 2p and 2p+1, and no tap needs
+// a bounds test. The taps are visited in the generic loop's order, each
+// through maxTap starting from −Inf, so the result is the same bits: NaN
+// never wins, an all-NaN window gives −Inf, and a tie between ±0 keeps the
+// first.
+func maxPool2x2(dst, src []float64, rowPairs, w int) {
+	ow := w / 2
+	for p := 0; p < rowPairs; p++ {
+		out := dst[p*ow : (p+1)*ow]
+		r0 := src[2*p*w : (2*p+1)*w][:2*len(out)]
+		r1 := src[(2*p+1)*w : (2*p+2)*w][:2*len(out)]
+		for ox := range out {
+			best := maxTap(math.Inf(-1), r0[2*ox])
+			best = maxTap(best, r0[2*ox+1])
+			best = maxTap(best, r1[2*ox])
+			out[ox] = maxTap(best, r1[2*ox+1])
+		}
+	}
+}
+
+// maxTap returns v when v > best and best otherwise. The select runs on the
+// bit patterns, which the compiler turns into a conditional move; a float
+// compare-and-jump would mispredict on about half the taps of random data.
+func maxTap(best, v float64) float64 {
+	b, u := math.Float64bits(best), math.Float64bits(v)
+	if v > best {
+		b = u
+	}
+	return math.Float64frombits(b)
 }
 
 // Backward routes each gradient to its argmax position.

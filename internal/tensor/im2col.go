@@ -25,6 +25,10 @@ func Im2Col(src []float64, channels, h, w, kh, kw, stride, pad int, col []float6
 func Im2ColInto(src []float64, channels, h, w, kh, kw, stride, pad int, col []float64, ldcol, colOff int) {
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1
+	if stride == 1 && outW == w {
+		im2colBands(src, channels, h, w, kh, kw, pad, col, ldcol, colOff, outH)
+		return
+	}
 	// For a fixed kernel tap kj, the in-range output columns are those with
 	// 0 ≤ ox·stride − pad + kj < w; hoisting that interval out of the inner
 	// loop replaces the per-element bounds test with two zero fills and one
@@ -80,6 +84,57 @@ func Im2ColInto(src []float64, channels, h, w, kh, kw, stride, pad int, col []fl
 					}
 				}
 				idx++
+			}
+		}
+	}
+}
+
+// im2colBands is Im2ColInto for stride 1 and outW == w, the shape of every
+// 3×3, pad-1 convolution. Output position p = oy·w + ox of tap (ki, kj)
+// reads input position p + (ki−pad)·w + (kj−pad), so over the output rows
+// whose input row is in range a tap's whole band is the input plane shifted
+// by one constant: one contiguous copy writes it. The copy wraps across row
+// ends at the columns whose input column is out of range; those edge
+// columns and the out-of-range rows are then zeroed, so every element of
+// the band is written.
+func im2colBands(src []float64, channels, h, w, kh, kw, pad int, col []float64, ldcol, colOff, outH int) {
+	spatial := outH * w
+	idx := 0
+	for c := 0; c < channels; c++ {
+		plane := src[c*h*w : (c+1)*h*w]
+		for ki := 0; ki < kh; ki++ {
+			// Output rows [oy0, oy1) read input rows in [0, h).
+			oy0 := min(max(pad-ki, 0), outH)
+			oy1 := max(min(h+pad-ki, outH), oy0)
+			for kj := 0; kj < kw; kj++ {
+				band := col[idx*ldcol+colOff : idx*ldcol+colOff+spatial]
+				idx++
+				// Output columns [lo, hi) read input columns in [0, w).
+				lo := min(max(pad-kj, 0), w)
+				hi := max(min(w+pad-kj, w), lo)
+				clear(band[:oy0*w])
+				clear(band[oy1*w:])
+				if oy0 == oy1 || lo == hi {
+					clear(band[oy0*w : oy1*w])
+					continue
+				}
+				// Positions whose shifted source falls outside the plane are
+				// edge columns of the first or last row; the edge clears
+				// below cover them.
+				shift := (ki-pad)*w + (kj - pad)
+				p0 := max(oy0*w, -shift)
+				p1 := min(oy1*w, h*w-shift)
+				copy(band[p0:p1], plane[p0+shift:p1+shift])
+				// Edge runs are a few elements: plain stores beat clear's
+				// call into memclr.
+				for r := oy0 * w; r < oy1*w; r += w {
+					for j := r; j < r+lo; j++ {
+						band[j] = 0
+					}
+					for j := r + hi; j < r+w; j++ {
+						band[j] = 0
+					}
+				}
 			}
 		}
 	}

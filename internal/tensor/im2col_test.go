@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -171,47 +172,98 @@ func TestInitializers(t *testing.T) {
 	}
 }
 
-// TestIm2ColIntoMatchesPerSample pins the whole-batch packing: unrolling B
-// samples side by side into one wide column matrix (row stride
-// batch·spatial) must produce, in every sample's column band, exactly what
-// the per-sample Im2Col produces — including explicit zeros for padding taps
-// over an uninitialized (garbage) destination.
-func TestIm2ColIntoMatchesPerSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	cases := []struct{ batch, c, h, w, kh, kw, stride, pad int }{
-		{3, 2, 6, 6, 3, 3, 1, 1},
-		{2, 3, 5, 7, 3, 3, 2, 1},
-		{4, 1, 4, 4, 2, 2, 2, 0},
-		{2, 2, 8, 8, 1, 1, 1, 0},
-		{1, 4, 6, 6, 5, 5, 1, 2},
-		{2, 2, 3, 3, 3, 3, 1, 3}, // pad > kernel reach: all-padding edge rows
-		{2, 1, 1, 1, 6, 6, 1, 3}, // kernel reach exceeds w+pad: lo must clamp to outW
-		{1, 1, 2, 2, 5, 5, 2, 2}, // strided with taps past the padded row
-	}
-	for _, tc := range cases {
-		outH := ConvOutSize(tc.h, tc.kh, tc.stride, tc.pad)
-		outW := ConvOutSize(tc.w, tc.kw, tc.stride, tc.pad)
-		spatial := outH * outW
-		colRows := tc.c * tc.kh * tc.kw
-		ldcol := tc.batch * spatial
-		wide := randSlice(colRows*ldcol, rng) // garbage start
-		srcs := make([][]float64, tc.batch)
-		for b := range srcs {
-			srcs[b] = randSlice(tc.c*tc.h*tc.w, rng)
-			Im2ColInto(srcs[b], tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, wide, ldcol, b*spatial)
-		}
-		single := make([]float64, colRows*spatial)
-		for b := range srcs {
-			Im2Col(srcs[b], tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, single)
-			for r := 0; r < colRows; r++ {
-				for s := 0; s < spatial; s++ {
-					got := wide[r*ldcol+b*spatial+s]
-					want := single[r*spatial+s]
-					if got != want {
-						t.Fatalf("%+v sample %d col[%d,%d] = %g, want %g", tc, b, r, s, got, want)
+// gatherIm2Col is the im2col oracle: one element at a time, every input
+// position bounds-tested, padding written as +0.
+func gatherIm2Col(src []float64, c, h, w, kh, kw, stride, pad int, col []float64, ldcol, colOff int) {
+	outH := ConvOutSize(h, kh, stride, pad)
+	outW := ConvOutSize(w, kw, stride, pad)
+	for ci := 0; ci < c; ci++ {
+		for ki := 0; ki < kh; ki++ {
+			for kj := 0; kj < kw; kj++ {
+				row := (ci*kh+ki)*kw + kj
+				for oy := 0; oy < outH; oy++ {
+					for ox := 0; ox < outW; ox++ {
+						iy, ix := oy*stride-pad+ki, ox*stride-pad+kj
+						v := 0.0
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							v = src[(ci*h+iy)*w+ix]
+						}
+						col[row*ldcol+colOff+oy*outW+ox] = v
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestIm2ColIntoMatchesPerSample pins the whole-batch packing against the
+// gather oracle, bit for bit: B samples unrolled side by side into one wide
+// column matrix must each hold, in their own column band, exactly the
+// oracle's columns. The shapes, listed and random, cover the stride-1
+// band-copy path (outW == w) and the general loop. The matrix is
+// NaN-prefilled and has spare columns past the last band, so an element
+// left unwritten, or a write outside the band, shows.
+func TestIm2ColIntoMatchesPerSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	type shape struct{ c, h, w, kh, kw, stride, pad int }
+	cases := []shape{
+		{2, 6, 6, 3, 3, 1, 1},   // VGG 3×3 pad 1: band path
+		{3, 16, 16, 3, 3, 1, 1}, // band path at VGG13Mini's input size
+		{4, 6, 6, 5, 5, 1, 2},   // band path, 5×5 pad 2
+		{2, 8, 8, 1, 1, 1, 0},   // band path, 1×1
+		{2, 5, 6, 3, 1, 1, 0},   // band path, kh ≠ kw
+		{1, 1, 1, 3, 3, 1, 1},   // h = w = 1: every tap but the centre is padding
+		{1, 1, 1, 7, 7, 1, 3},   // band path with kw > w + pad
+		{3, 5, 7, 3, 3, 2, 1},   // stride 2
+		{1, 4, 4, 2, 2, 2, 0},   // stride 2, no padding
+		{2, 6, 6, 3, 3, 1, 0},   // outW ≠ w
+		{2, 3, 3, 3, 3, 1, 3},   // outW ≠ w, pad past the kernel reach: all-padding edge rows
+		{1, 1, 1, 6, 6, 1, 3},   // outW ≠ w, kernel reach exceeds w + pad
+		{1, 2, 2, 5, 5, 2, 2},   // strided with taps past the padded row
+	}
+	for len(cases) < 300 {
+		s := shape{
+			c: 1 + rng.Intn(3), h: 1 + rng.Intn(9), w: 1 + rng.Intn(9),
+			kh: 1 + rng.Intn(5), kw: 1 + rng.Intn(5), stride: 1 + rng.Intn(3), pad: rng.Intn(4),
+		}
+		if len(cases)%2 == 0 { // steer half onto the band path
+			s.stride, s.kw = 1, 2*s.pad+1
+		}
+		cases = append(cases, s)
+	}
+	var banded, general int
+	for _, tc := range cases {
+		outH := ConvOutSize(tc.h, tc.kh, tc.stride, tc.pad)
+		outW := ConvOutSize(tc.w, tc.kw, tc.stride, tc.pad)
+		if outH <= 0 || outW <= 0 {
+			continue
+		}
+		if tc.stride == 1 && outW == tc.w {
+			banded++
+		} else {
+			general++
+		}
+		const batch, spare = 3, 5
+		spatial := outH * outW
+		rows := tc.c * tc.kh * tc.kw
+		ldcol := batch*spatial + spare
+		got := make([]float64, rows*ldcol)
+		want := make([]float64, rows*ldcol)
+		for i := range got {
+			got[i], want[i] = math.NaN(), math.NaN()
+		}
+		for b := 0; b < batch; b++ {
+			src := randSlice(tc.c*tc.h*tc.w, rng)
+			Im2ColInto(src, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, got, ldcol, b*spatial)
+			gatherIm2Col(src, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, want, ldcol, b*spatial)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%+v: col[%d,%d] = %g, want %g", tc, i/ldcol, i%ldcol, got[i], want[i])
+			}
+		}
+	}
+	if banded < 100 || general < 100 {
+		t.Fatalf("coverage: %d band-path and %d general shapes, want ≥100 of each", banded, general)
 	}
 }
