@@ -81,7 +81,7 @@ func benchGemm(b *testing.B, n int) {
 	b.SetBytes(int64(8 * n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Gemm(n, n, n, a, n, bm, n, c, n)
+		tensor.Gemm(tensor.GemmOp{}, n, n, n, a, n, bm, n, c, n)
 	}
 }
 

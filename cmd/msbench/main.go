@@ -225,7 +225,7 @@ func collectBench(packed bool, tier tensor.EngineTier) benchReport {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tensor.GemmT(tier, n, n, n, a, n, bm, n, c, n)
+				tensor.Gemm(tensor.GemmOp{Tier: tier}, n, n, n, a, n, bm, n, c, n)
 			}
 		})
 		ns := float64(r.NsPerOp())
@@ -428,7 +428,7 @@ func collectTierSections(packed bool) []tierSection {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tensor.GemmTBPackedExT(tier, n, n, n, a, n, pb, c, n, nil)
+				tensor.Gemm(tensor.GemmOp{Tier: tier, TransB: true, Assign: true, PackB: pb}, n, n, n, a, n, nil, 0, c, n)
 			}
 		})
 		ns := float64(r.NsPerOp())

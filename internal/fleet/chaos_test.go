@@ -340,3 +340,39 @@ func TestFleetHTTPSurface(t *testing.T) {
 		t.Fatalf("healthz after leave %+v, want 1/1", health)
 	}
 }
+
+// postOversized posts body to the coordinator's path and demands 413, then
+// checks that nothing reached the fleet: no query forwarded or routed and
+// the one-member roster unchanged.
+func postOversized(t *testing.T, path, body string) {
+	t.Helper()
+	if netFaultsArmed() {
+		t.Skip("network fault injection armed; the fleet set-up joins are not deterministic")
+	}
+	coord, _, _ := liveFleet(t, 1, nil)
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(front.Close)
+	resp, err := http.Post(front.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized %s body: status %d, want 413", path, resp.StatusCode)
+	}
+	if st := coord.Stats(); st.Forwarded != 0 || len(st.Replicas) != 1 || st.Replicas[0].Routed != 0 {
+		t.Fatalf("oversized %s body reached the fleet: forwarded %d, replicas %+v", path, st.Forwarded, st.Replicas)
+	}
+}
+
+// TestFleetPredictRejectsOversizedBody pads a well-formed query past the
+// limit the replicas' input length sets.
+func TestFleetPredictRejectsOversizedBody(t *testing.T) {
+	postOversized(t, "/predict", `{"input":[1,-0.5,2,0.3]`+strings.Repeat(" ", int(server.PredictBodyLimit(4)))+`}`)
+}
+
+// TestFleetReplicasRejectsOversizedBody pads a join request past the
+// membership API's constant limit.
+func TestFleetReplicasRejectsOversizedBody(t *testing.T) {
+	postOversized(t, "/replicas", `{"op":"join","url":"http://`+strings.Repeat("x", replicasBodyLimit)+`"}`)
+}

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"modelslicing/internal/server"
@@ -107,6 +109,9 @@ type Coordinator struct {
 	rng       *rand.Rand
 
 	metrics coordMetrics
+	// inputLen is the largest input length a member replica reported; it
+	// sizes the /predict body limit.
+	inputLen atomic.Int64
 
 	quit     chan struct{}
 	stopOnce sync.Once
@@ -374,7 +379,62 @@ func (c *Coordinator) fetchState(baseURL string) (server.State, error) {
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
 		return st, err
 	}
+	if err := checkState(st); err != nil {
+		return st, fmt.Errorf("state: %w", err)
+	}
+	for old := c.inputLen.Load(); int64(st.InputLen) > old; old = c.inputLen.Load() {
+		if c.inputLen.CompareAndSwap(old, int64(st.InputLen)) {
+			break
+		}
+	}
 	return st, nil
+}
+
+// maxInputLen bounds the input length a replica may report, and with it the
+// coordinator's /predict body limit (server.PredictBodyLimit: 64 MiB).
+const maxInputLen = 1 << 20
+
+// checkState rejects a /state report that would poison the routing model.
+// A per-sample time that is zero, negative or not finite makes the replica
+// look infinitely fast (an empty table reads as t = 0), so it would draw
+// all the traffic; rates must lie in (0, 1]; the backlog must be finite and
+// non-negative and the window finite and positive.
+func checkState(st server.State) error {
+	if len(st.SampleTimes) == 0 {
+		return errors.New("empty t(r) table")
+	}
+	for _, e := range st.SampleTimes {
+		if !(e.Rate > 0 && e.Rate <= 1) {
+			return fmt.Errorf("t(r) rate %v outside (0, 1]", e.Rate)
+		}
+		if !(e.Seconds > 0) || math.IsInf(e.Seconds, 1) {
+			return fmt.Errorf("t(%v) = %v s, want finite and positive", e.Rate, e.Seconds)
+		}
+	}
+	for _, r := range st.Rates {
+		if !(r > 0 && r <= 1) {
+			return fmt.Errorf("rate %v outside (0, 1]", r)
+		}
+	}
+	if !(st.BacklogAheadS >= 0) || math.IsInf(st.BacklogAheadS, 1) {
+		return fmt.Errorf("backlog_ahead_s = %v, want finite and non-negative", st.BacklogAheadS)
+	}
+	if !(st.WindowS > 0) || math.IsInf(st.WindowS, 1) {
+		return fmt.Errorf("window_s = %v, want finite and positive", st.WindowS)
+	}
+	if st.InputLen < 0 || st.InputLen > maxInputLen {
+		return fmt.Errorf("input_len = %d outside [0, %d]", st.InputLen, maxInputLen)
+	}
+	return nil
+}
+
+// predictBodyLimit bounds a /predict body by the largest input a member has
+// reported, or by 1 MiB while none has.
+func (c *Coordinator) predictBodyLimit() int64 {
+	if n := c.inputLen.Load(); n > 0 {
+		return server.PredictBodyLimit(int(n))
+	}
+	return 1 << 20
 }
 
 // backoff returns the capped exponential retry delay with jitter for the

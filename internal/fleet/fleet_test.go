@@ -2,9 +2,12 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -284,6 +287,96 @@ func TestFleetPrefersFasterReplica(t *testing.T) {
 		if rates[i] != want[i] {
 			t.Fatalf("served rates %v, want %v", rates, want)
 		}
+	}
+}
+
+// TestFleetEjectsLyingReplica pins the validation of polled /state reports.
+// A replica that joins honestly and then reports an impossible state — an
+// empty t(r) table, a zero or negative per-sample time, a rate outside
+// (0, 1], a negative backlog — would look infinitely fast (or poison the
+// routing arithmetic) and draw the traffic. Each such report must count as
+// a failed poll, so the liar is ejected after FailThreshold polls and the
+// honest replica takes every query, although the liar joined first and
+// wins ties.
+func TestFleetEjectsLyingReplica(t *testing.T) {
+	if netFaultsArmed() {
+		t.Skip("network fault injection armed; lockstep determinism is not expected")
+	}
+	for _, tc := range []struct {
+		name string
+		lie  func(st *server.State)
+	}{
+		{"empty table", func(st *server.State) { st.SampleTimes = nil }},
+		{"zero t(r)", func(st *server.State) {
+			for i := range st.SampleTimes {
+				st.SampleTimes[i].Seconds = 0
+			}
+		}},
+		{"negative t(r)", func(st *server.State) { st.SampleTimes[0].Seconds = -1 }},
+		{"rate above 1", func(st *server.State) { st.SampleTimes[len(st.SampleTimes)-1].Rate = 2 }},
+		{"negative backlog", func(st *server.State) { st.BacklogAheadS = -5 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := time.Unix(0, 0)
+			liarClk, honestClk := server.NewFakeClock(base), server.NewFakeClock(base)
+			liar, honest := fakeReplica(t, liarClk), fakeReplica(t, honestClk)
+			var lying atomic.Bool
+			liarTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/state" && lying.Load() {
+					st := liar.State()
+					tc.lie(&st)
+					_ = json.NewEncoder(w).Encode(st)
+					return
+				}
+				liar.Handler().ServeHTTP(w, r)
+			}))
+			honestTS := httptest.NewServer(honest.Handler())
+			t.Cleanup(liarTS.Close)
+			t.Cleanup(honestTS.Close)
+
+			coord, err := New(Config{
+				SLO:           2 * time.Second,
+				Clock:         server.NewFakeClock(base),
+				FailThreshold: 2,
+				HedgeAfter:    -1,
+				RetryBase:     -1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(coord.Stop)
+			for _, u := range []string{liarTS.URL, honestTS.URL} {
+				if err := coord.AddReplica(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lying.Store(true)
+			for i := 0; i < 2; i++ {
+				coord.pollAll()
+			}
+			if rs := coord.Replicas(); !rs[0].Ejected || rs[1].Ejected {
+				t.Fatalf("after two lying polls: liar ejected %v, honest ejected %v; want true, false",
+					rs[0].Ejected, rs[1].Ejected)
+			}
+
+			errs := make(chan error, 4)
+			for seed := int64(1); seed <= 4; seed++ {
+				go func() {
+					_, err := coord.Predict(context.Background(), inputVec(seed))
+					errs <- err
+				}()
+			}
+			waitFor(t, "queries to land", func() bool { return liar.QueueDepth()+honest.QueueDepth() == 4 })
+			if got := routedCounts(coord); got[0] != 0 || got[1] != 4 {
+				t.Fatalf("routed %v, want [0 4]: the ejected liar must draw no traffic", got)
+			}
+			honestClk.Tick(time.Second)
+			for i := 0; i < 4; i++ {
+				if err := <-errs; err != nil {
+					t.Fatalf("predict: %v", err)
+				}
+			}
+		})
 	}
 }
 

@@ -36,8 +36,7 @@ func (c *Coordinator) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+	if !server.DecodeBody(w, r, c.predictBodyLimit(), &req) {
 		return
 	}
 	resp, err := c.Predict(r.Context(), req.Input)
@@ -81,6 +80,9 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// replicasBodyLimit bounds a /replicas body: an op and one base URL.
+const replicasBodyLimit = 4 << 10
+
 // handleReplicas is the runtime membership API: GET lists, POST joins or
 // leaves one replica by base URL.
 func (c *Coordinator) handleReplicas(w http.ResponseWriter, r *http.Request) {
@@ -92,8 +94,7 @@ func (c *Coordinator) handleReplicas(w http.ResponseWriter, r *http.Request) {
 			Op  string `json:"op"`
 			URL string `json:"url"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+		if !server.DecodeBody(w, r, replicasBodyLimit, &req) {
 			return
 		}
 		switch req.Op {

@@ -126,7 +126,7 @@ func (c *Conv2D) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		src := x.Data[b*inPlane : (b+1)*inPlane]
 		tensor.Im2Col(src, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, col)
 		dst := y.Data[b*outPlane : (b+1)*outPlane]
-		tensor.Gemm(c.aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial)
+		tensor.Gemm(tensor.GemmOp{}, c.aOut, spatial, colRows, c.W.Value.Data, ldW, col, spatial, dst, spatial)
 		if c.B != nil {
 			for oc := 0; oc < c.aOut; oc++ {
 				bias := c.B.Value.Data[oc]
@@ -198,11 +198,10 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue)
 	// the pass: stream the per-width persistent pack (built once, shared by
 	// every worker and both lowerings) unless the context pins the unpacked
 	// engine.
-	tier := ctx.EffTier()
-	var pw tensor.Packed
+	op := tensor.GemmOp{Tier: ctx.EffTier(), Assign: true, Ep: ep}
 	if usePack(ctx) {
-		k := packKey{aOut, colRows, packTierOf(tier)}
-		pw = c.packs.lookup(k)
+		k := packKey{aOut, colRows, packTierOf(op.Tier)}
+		pw := c.packs.lookup(k)
 		if pw == nil {
 			pw = c.packs.build(k, func() tensor.Packed {
 				if k.tier == tensor.TierF32 {
@@ -211,13 +210,10 @@ func (c *Conv2D) inferFused(ctx *Context, x *tensor.Tensor, ep *tensor.Epilogue)
 				return tensor.PackA(aOut, colRows, c.W.Value.Data, ldW)
 			})
 		}
+		op.PackA = pw
 	}
 	gemm := func(n int, col []float64, ldb int, dst []float64, ldc int) {
-		if pw != nil {
-			tensor.GemmPackedExT(tier, aOut, n, colRows, pw, col, ldb, dst, ldc, ep)
-			return
-		}
-		tensor.GemmExT(tier, aOut, n, colRows, c.W.Value.Data, ldW, col, ldb, dst, ldc, ep)
+		tensor.Gemm(op, aOut, n, colRows, c.W.Value.Data, ldW, col, ldb, dst, ldc)
 	}
 
 	// Tile the batch so the lowering scratch stays under convScratchCap.
@@ -312,12 +308,12 @@ func (c *Conv2D) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 		tensor.Im2Col(src, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, col)
 		g := dy.Data[b*outPlane : (b+1)*outPlane]
 		// dW += dy_b · colᵀ
-		tensor.GemmTB(c.aOut, colRows, spatial, g, spatial, col, spatial, dws[worker], ldW)
+		tensor.Gemm(tensor.GemmOp{TransB: true}, c.aOut, colRows, spatial, g, spatial, col, spatial, dws[worker], ldW)
 		// dcol = Wᵀ · dy_b
 		for i := range dcol {
 			dcol[i] = 0
 		}
-		tensor.GemmTA(colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dcol, spatial)
+		tensor.Gemm(tensor.GemmOp{TransA: true}, colRows, spatial, c.aOut, c.W.Value.Data, ldW, g, spatial, dcol, spatial)
 		tensor.Col2Im(dcol, c.aIn, c.h, c.w, c.KH, c.KW, c.Stride, c.Pad, dx.Data[b*inPlane:(b+1)*inPlane])
 		if c.B != nil {
 			db := dbs[worker]

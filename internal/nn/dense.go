@@ -24,7 +24,7 @@ type Dense struct {
 	W *Param // [Out, In]
 	B *Param // [Out], nil when built without bias
 
-	// packs caches the per-width micro-panel packs of W for the GemmTB
+	// packs caches the per-width micro-panel packs of W for the TransB
 	// orientation of the inference path: each active (aOut, aIn) prefix is
 	// packed once (tensor.PackTB) and then served read-only to every worker.
 	// Training invalidates it (see Forward).
@@ -76,7 +76,7 @@ func (d *Dense) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	}
 	y := tensor.New(d.batch, d.aOut)
 	// y += x · Wᵀ using the sliced prefix of W.
-	tensor.GemmTB(d.batch, d.aOut, d.aIn, x.Data, d.aIn, d.W.Value.Data, d.In, y.Data, d.aOut)
+	tensor.Gemm(tensor.GemmOp{TransB: true}, d.batch, d.aOut, d.aIn, x.Data, d.aIn, d.W.Value.Data, d.In, y.Data, d.aOut)
 	if d.scale != 1 {
 		y.Scale(d.scale)
 	}
@@ -119,9 +119,9 @@ func (d *Dense) inferFused(ctx *Context, x *tensor.Tensor, relu bool) *tensor.Te
 	if d.B != nil {
 		ep.ColShift = d.B.Value.Data
 	}
-	tier := ctx.EffTier()
+	op := tensor.GemmOp{Tier: ctx.EffTier(), TransB: true, Assign: true, Ep: &ep}
 	if usePack(ctx) && tensor.GemmTBPrefersPacked(batch, aOut, aIn) {
-		k := packKey{aOut, aIn, packTierOf(tier)}
+		k := packKey{aOut, aIn, packTierOf(op.Tier)}
 		pm := d.packs.lookup(k)
 		if pm == nil {
 			pm = d.packs.build(k, func() tensor.Packed {
@@ -131,10 +131,9 @@ func (d *Dense) inferFused(ctx *Context, x *tensor.Tensor, relu bool) *tensor.Te
 				return tensor.PackTB(aOut, aIn, d.W.Value.Data, d.In)
 			})
 		}
-		tensor.GemmTBPackedExT(tier, batch, aOut, aIn, x.Data, aIn, pm, y.Data, aOut, &ep)
-		return y
+		op.PackB = pm
 	}
-	tensor.GemmTBExT(tier, batch, aOut, aIn, x.Data, aIn, d.W.Value.Data, d.In, y.Data, aOut, &ep)
+	tensor.Gemm(op, batch, aOut, aIn, x.Data, aIn, d.W.Value.Data, d.In, y.Data, aOut)
 	return y
 }
 
@@ -167,10 +166,10 @@ func (d *Dense) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 		dyEff.Scale(d.scale)
 	}
 	// dW[aOut × aIn] += dyᵀ · x
-	tensor.GemmTA(d.aOut, d.aIn, d.batch, dyEff.Data, d.aOut, d.x.Data, d.aIn, d.W.Grad.Data, d.In)
+	tensor.Gemm(tensor.GemmOp{TransA: true}, d.aOut, d.aIn, d.batch, dyEff.Data, d.aOut, d.x.Data, d.aIn, d.W.Grad.Data, d.In)
 	// dx[B × aIn] += dy · W
 	dx := tensor.New(d.batch, d.aIn)
-	tensor.Gemm(d.batch, d.aIn, d.aOut, dyEff.Data, d.aOut, d.W.Value.Data, d.In, dx.Data, d.aIn)
+	tensor.Gemm(tensor.GemmOp{}, d.batch, d.aIn, d.aOut, dyEff.Data, d.aOut, d.W.Value.Data, d.In, dx.Data, d.aIn)
 	return dx
 }
 

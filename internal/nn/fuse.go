@@ -9,9 +9,9 @@ import (
 // Inference-time peephole fusion. Fuse rewrites a layer graph into an
 // inference-optimized view that shares the original parameters: chains that
 // the eager path executes as separate full passes over the activations are
-// collapsed into single fused operators built on the GEMM epilogue
-// (tensor.GemmEx / tensor.GemmTBEx) and the fused-activation normalization
-// kernels:
+// collapsed into single fused operators built on the GEMM epilogue (a
+// tensor.Gemm call whose GemmOp sets Assign and Ep) and the fused-activation
+// normalization kernels:
 //
 //	Conv2D → BatchNorm/SwitchableBatchNorm (→ ReLU)  ⇒  one GEMM with a
 //	    folded per-channel scale/shift (+ clamp) epilogue. The running

@@ -63,7 +63,7 @@ func (g *GRU) Active(rate float64) (aIn, aH int) {
 
 // gemmGate computes dst[B × aH](ld) += src[B × k] · W[gate block]ᵀ.
 func (g *GRU) gemmGate(dst []float64, ldDst int, src []float64, k, ldSrc int, w []float64, gate, ldW int) {
-	tensor.GemmTB(g.batch, g.aH, k, src, ldSrc, w[gate*g.Hidden*ldW:], ldW, dst, ldDst)
+	tensor.Gemm(tensor.GemmOp{TransB: true}, g.batch, g.aH, k, src, ldSrc, w[gate*g.Hidden*ldW:], ldW, dst, ldDst)
 }
 
 // Forward runs the sequence and returns hidden states [T, B, aH].
@@ -172,8 +172,8 @@ func (g *GRU) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		clear(zx.Data)
 		clear(zh.Data)
 		for k := 0; k < 3; k++ {
-			tensor.GemmTB(batch, aH, aIn, xt, aIn, g.Wx.Value.Data[k*g.Hidden*g.In:], g.In, zx.Data[k*aH:], 3*aH)
-			tensor.GemmTB(batch, aH, aH, hPrev, aH, g.Wh.Value.Data[k*g.Hidden*g.Hidden:], g.Hidden, zh.Data[k*aH:], 3*aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, batch, aH, aIn, xt, aIn, g.Wx.Value.Data[k*g.Hidden*g.In:], g.In, zx.Data[k*aH:], 3*aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, batch, aH, aH, hPrev, aH, g.Wh.Value.Data[k*g.Hidden*g.Hidden:], g.Hidden, zh.Data[k*aH:], 3*aH)
 		}
 		if scaleX != 1 {
 			zx.Scale(scaleX)
@@ -262,14 +262,14 @@ func (g *GRU) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 			dzxk := dzx.Data[k*g.aH:]
 			dzhk := dzh.Data[k*g.aH:]
 			// dWx[gate k] += dzxₖᵀ · x ; dx += dzxₖ · Wx[gate k]
-			tensor.GemmTA(g.aH, g.aIn, g.batch, dzxk, 3*g.aH, xt, g.aIn,
+			tensor.Gemm(tensor.GemmOp{TransA: true}, g.aH, g.aIn, g.batch, dzxk, 3*g.aH, xt, g.aIn,
 				g.Wx.Grad.Data[k*g.Hidden*g.In:], g.In)
-			tensor.Gemm(g.batch, g.aIn, g.aH, dzxk, 3*g.aH,
+			tensor.Gemm(tensor.GemmOp{}, g.batch, g.aIn, g.aH, dzxk, 3*g.aH,
 				g.Wx.Value.Data[k*g.Hidden*g.In:], g.In, dxt, g.aIn)
 			// dWh[gate k] += dzhₖᵀ · h_{t-1} ; dh_{t-1} += dzhₖ · Wh[gate k]
-			tensor.GemmTA(g.aH, g.aH, g.batch, dzhk, 3*g.aH, hPrev.Data, g.aH,
+			tensor.Gemm(tensor.GemmOp{TransA: true}, g.aH, g.aH, g.batch, dzhk, 3*g.aH, hPrev.Data, g.aH,
 				g.Wh.Grad.Data[k*g.Hidden*g.Hidden:], g.Hidden)
-			tensor.Gemm(g.batch, g.aH, g.aH, dzhk, 3*g.aH,
+			tensor.Gemm(tensor.GemmOp{}, g.batch, g.aH, g.aH, dzhk, 3*g.aH,
 				g.Wh.Value.Data[k*g.Hidden*g.Hidden:], g.Hidden, dhPrev.Data, g.aH)
 		}
 		dhNext = dhPrev

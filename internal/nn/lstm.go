@@ -140,8 +140,8 @@ func (l *LSTM) stepPreact(xt []float64, hPrev *tensor.Tensor, z *tensor.Tensor) 
 		for k := 0; k < 4; k++ {
 			wx := l.Wx.Value.Data[gateOffset(k, l.Hidden, l.In):]
 			wh := l.Wh.Value.Data[gateOffset(k, l.Hidden, l.Hidden):]
-			tensor.GemmTB(l.batch, l.aH, l.aIn, xt, l.aIn, wx, l.In, z.Data[k*l.aH:], 4*l.aH)
-			tensor.GemmTB(l.batch, l.aH, l.aH, hPrev.Data, l.aH, wh, l.Hidden, z.Data[k*l.aH:], 4*l.aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, l.batch, l.aH, l.aIn, xt, l.aIn, wx, l.In, z.Data[k*l.aH:], 4*l.aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, l.batch, l.aH, l.aH, hPrev.Data, l.aH, wh, l.Hidden, z.Data[k*l.aH:], 4*l.aH)
 		}
 	} else {
 		// The two terms carry different rescale factors, so they are
@@ -151,8 +151,8 @@ func (l *LSTM) stepPreact(xt []float64, hPrev *tensor.Tensor, z *tensor.Tensor) 
 		for k := 0; k < 4; k++ {
 			wx := l.Wx.Value.Data[gateOffset(k, l.Hidden, l.In):]
 			wh := l.Wh.Value.Data[gateOffset(k, l.Hidden, l.Hidden):]
-			tensor.GemmTB(l.batch, l.aH, l.aIn, xt, l.aIn, wx, l.In, zx.Data[k*l.aH:], 4*l.aH)
-			tensor.GemmTB(l.batch, l.aH, l.aH, hPrev.Data, l.aH, wh, l.Hidden, zh.Data[k*l.aH:], 4*l.aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, l.batch, l.aH, l.aIn, xt, l.aIn, wx, l.In, zx.Data[k*l.aH:], 4*l.aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, l.batch, l.aH, l.aH, hPrev.Data, l.aH, wh, l.Hidden, zh.Data[k*l.aH:], 4*l.aH)
 		}
 		z.AddScaled(l.scaleX, zx)
 		z.AddScaled(l.scaleH, zh)
@@ -210,8 +210,8 @@ func (l *LSTM) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 			for k := 0; k < 4; k++ {
 				wx := l.Wx.Value.Data[gateOffset(k, l.Hidden, l.In):]
 				wh := l.Wh.Value.Data[gateOffset(k, l.Hidden, l.Hidden):]
-				tensor.GemmTB(batch, aH, aIn, xt, aIn, wx, l.In, z.Data[k*aH:], 4*aH)
-				tensor.GemmTB(batch, aH, aH, hPrev, aH, wh, l.Hidden, z.Data[k*aH:], 4*aH)
+				tensor.Gemm(tensor.GemmOp{TransB: true}, batch, aH, aIn, xt, aIn, wx, l.In, z.Data[k*aH:], 4*aH)
+				tensor.Gemm(tensor.GemmOp{TransB: true}, batch, aH, aH, hPrev, aH, wh, l.Hidden, z.Data[k*aH:], 4*aH)
 			}
 		} else {
 			clear(zx.Data)
@@ -219,8 +219,8 @@ func (l *LSTM) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 			for k := 0; k < 4; k++ {
 				wx := l.Wx.Value.Data[gateOffset(k, l.Hidden, l.In):]
 				wh := l.Wh.Value.Data[gateOffset(k, l.Hidden, l.Hidden):]
-				tensor.GemmTB(batch, aH, aIn, xt, aIn, wx, l.In, zx.Data[k*aH:], 4*aH)
-				tensor.GemmTB(batch, aH, aH, hPrev, aH, wh, l.Hidden, zh.Data[k*aH:], 4*aH)
+				tensor.Gemm(tensor.GemmOp{TransB: true}, batch, aH, aIn, xt, aIn, wx, l.In, zx.Data[k*aH:], 4*aH)
+				tensor.Gemm(tensor.GemmOp{TransB: true}, batch, aH, aH, hPrev, aH, wh, l.Hidden, zh.Data[k*aH:], 4*aH)
 			}
 			for i := range z.Data {
 				z.Data[i] = scaleX*zx.Data[i] + scaleH*zh.Data[i]
@@ -309,16 +309,16 @@ func (l *LSTM) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 			dzkx := dzx.Data[k*l.aH:] // [B × aH] with ld 4aH
 			dzkh := dzh.Data[k*l.aH:]
 			// dWx[gate k] += scaleX · dzₖᵀ · x
-			tensor.GemmTA(l.aH, l.aIn, l.batch, dzkx, 4*l.aH, xt, l.aIn,
+			tensor.Gemm(tensor.GemmOp{TransA: true}, l.aH, l.aIn, l.batch, dzkx, 4*l.aH, xt, l.aIn,
 				l.Wx.Grad.Data[gateOffset(k, l.Hidden, l.In):], l.In)
 			// dWh[gate k] += scaleH · dzₖᵀ · h_{t-1}
-			tensor.GemmTA(l.aH, l.aH, l.batch, dzkh, 4*l.aH, hPrev.Data, l.aH,
+			tensor.Gemm(tensor.GemmOp{TransA: true}, l.aH, l.aH, l.batch, dzkh, 4*l.aH, hPrev.Data, l.aH,
 				l.Wh.Grad.Data[gateOffset(k, l.Hidden, l.Hidden):], l.Hidden)
 			// dx += scaleX · dzₖ · Wx[gate k]
-			tensor.Gemm(l.batch, l.aIn, l.aH, dzkx, 4*l.aH,
+			tensor.Gemm(tensor.GemmOp{}, l.batch, l.aIn, l.aH, dzkx, 4*l.aH,
 				l.Wx.Value.Data[gateOffset(k, l.Hidden, l.In):], l.In, dxt, l.aIn)
 			// dh_{t-1} += scaleH · dzₖ · Wh[gate k]
-			tensor.Gemm(l.batch, l.aH, l.aH, dzkh, 4*l.aH,
+			tensor.Gemm(tensor.GemmOp{}, l.batch, l.aH, l.aH, dzkh, 4*l.aH,
 				l.Wh.Value.Data[gateOffset(k, l.Hidden, l.Hidden):], l.Hidden, dhNext.Data, l.aH)
 			// db[gate k] += Σ_batch dzₖ
 			for s := 0; s < l.batch; s++ {

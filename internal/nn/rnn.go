@@ -75,13 +75,13 @@ func (r *RNN) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		xt := x.Data[t*frame : (t+1)*frame]
 		z := tensor.New(r.batch, r.aH)
 		if r.scaleX == 1 && r.scaleH == 1 {
-			tensor.GemmTB(r.batch, r.aH, r.aIn, xt, r.aIn, r.Wx.Value.Data, r.In, z.Data, r.aH)
-			tensor.GemmTB(r.batch, r.aH, r.aH, r.hs[t].Data, r.aH, r.Wh.Value.Data, r.Hidden, z.Data, r.aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, r.batch, r.aH, r.aIn, xt, r.aIn, r.Wx.Value.Data, r.In, z.Data, r.aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, r.batch, r.aH, r.aH, r.hs[t].Data, r.aH, r.Wh.Value.Data, r.Hidden, z.Data, r.aH)
 		} else {
 			zx := tensor.New(r.batch, r.aH)
 			zh := tensor.New(r.batch, r.aH)
-			tensor.GemmTB(r.batch, r.aH, r.aIn, xt, r.aIn, r.Wx.Value.Data, r.In, zx.Data, r.aH)
-			tensor.GemmTB(r.batch, r.aH, r.aH, r.hs[t].Data, r.aH, r.Wh.Value.Data, r.Hidden, zh.Data, r.aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, r.batch, r.aH, r.aIn, xt, r.aIn, r.Wx.Value.Data, r.In, zx.Data, r.aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, r.batch, r.aH, r.aH, r.hs[t].Data, r.aH, r.Wh.Value.Data, r.Hidden, zh.Data, r.aH)
 			z.AddScaled(r.scaleX, zx)
 			z.AddScaled(r.scaleH, zh)
 		}
@@ -136,13 +136,13 @@ func (r *RNN) Infer(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 		xt := x.Data[t*frame : (t+1)*frame]
 		if zh == nil {
 			clear(z.Data)
-			tensor.GemmTB(batch, aH, aIn, xt, aIn, r.Wx.Value.Data, r.In, z.Data, aH)
-			tensor.GemmTB(batch, aH, aH, hPrev, aH, r.Wh.Value.Data, r.Hidden, z.Data, aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, batch, aH, aIn, xt, aIn, r.Wx.Value.Data, r.In, z.Data, aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, batch, aH, aH, hPrev, aH, r.Wh.Value.Data, r.Hidden, z.Data, aH)
 		} else {
 			clear(zx.Data)
 			clear(zh.Data)
-			tensor.GemmTB(batch, aH, aIn, xt, aIn, r.Wx.Value.Data, r.In, zx.Data, aH)
-			tensor.GemmTB(batch, aH, aH, hPrev, aH, r.Wh.Value.Data, r.Hidden, zh.Data, aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, batch, aH, aIn, xt, aIn, r.Wx.Value.Data, r.In, zx.Data, aH)
+			tensor.Gemm(tensor.GemmOp{TransB: true}, batch, aH, aH, hPrev, aH, r.Wh.Value.Data, r.Hidden, zh.Data, aH)
 			for i := range z.Data {
 				z.Data[i] = scaleX*zx.Data[i] + scaleH*zh.Data[i]
 			}
@@ -194,11 +194,11 @@ func (r *RNN) Backward(ctx *Context, dy *tensor.Tensor) *tensor.Tensor {
 			dzh.Scale(r.scaleH)
 		}
 		xt := r.xs.Data[t*frame : (t+1)*frame]
-		tensor.GemmTA(r.aH, r.aIn, r.batch, dzx.Data, r.aH, xt, r.aIn, r.Wx.Grad.Data, r.In)
-		tensor.GemmTA(r.aH, r.aH, r.batch, dzh.Data, r.aH, r.hs[t].Data, r.aH, r.Wh.Grad.Data, r.Hidden)
-		tensor.Gemm(r.batch, r.aIn, r.aH, dzx.Data, r.aH, r.Wx.Value.Data, r.In, dx.Data[t*frame:(t+1)*frame], r.aIn)
+		tensor.Gemm(tensor.GemmOp{TransA: true}, r.aH, r.aIn, r.batch, dzx.Data, r.aH, xt, r.aIn, r.Wx.Grad.Data, r.In)
+		tensor.Gemm(tensor.GemmOp{TransA: true}, r.aH, r.aH, r.batch, dzh.Data, r.aH, r.hs[t].Data, r.aH, r.Wh.Grad.Data, r.Hidden)
+		tensor.Gemm(tensor.GemmOp{}, r.batch, r.aIn, r.aH, dzx.Data, r.aH, r.Wx.Value.Data, r.In, dx.Data[t*frame:(t+1)*frame], r.aIn)
 		dhNext.Zero()
-		tensor.Gemm(r.batch, r.aH, r.aH, dzh.Data, r.aH, r.Wh.Value.Data, r.Hidden, dhNext.Data, r.aH)
+		tensor.Gemm(tensor.GemmOp{}, r.batch, r.aH, r.aH, dzh.Data, r.aH, r.Wh.Value.Data, r.Hidden, dhNext.Data, r.aH)
 	}
 	return dx
 }

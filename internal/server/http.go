@@ -70,23 +70,52 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// PredictBodyLimit bounds the size of a /predict body for a model with
+// inputLen input elements: 64 bytes per element covers the longest float64
+// JSON encoding (24 bytes, as in -2.2250738585072014e-308) plus a separator
+// and indentation, and 4 KiB covers the envelope.
+func PredictBodyLimit(inputLen int) int64 { return int64(inputLen)*64 + 4096 }
+
+// DecodeBody decodes the JSON body of r into v, reading at most limit
+// bytes. It answers 413 when the body is larger and 400 when it is not
+// valid JSON, and reports whether v was filled.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	err := json.NewDecoder(r.Body).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
+
+// inputLen is the element count of one input sample.
+func (s *Server) inputLen() int {
+	n := 1
+	for _, d := range s.cfg.InputShape {
+		n *= d
+	}
+	return n
+}
+
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "use POST", http.StatusMethodNotAllowed)
 		return
 	}
+	want := s.inputLen()
 	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+	if !DecodeBody(w, r, PredictBodyLimit(want), &req) {
 		return
 	}
 	// The wire format is a flat row-major vector; rebuild the model's
 	// single-sample shape before submitting (Submit validates the full
 	// shape, not just the element count).
-	want := 1
-	for _, d := range s.cfg.InputShape {
-		want *= d
-	}
 	if len(req.Input) != want {
 		http.Error(w, fmt.Sprintf("input has %d elements, model wants %d (shape %v)",
 			len(req.Input), want, s.cfg.InputShape), http.StatusBadRequest)

@@ -87,6 +87,29 @@ func TestHTTPPredictRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestHTTPPredictRejectsOversizedBody sends a well-formed query padded past
+// the body limit with whitespace: the handler must answer 413 without
+// reading the rest and without admitting the query.
+func TestHTTPPredictRejectsOversizedBody(t *testing.T) {
+	s := liveServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"input":[1,-0.5,2,0.3]` + strings.Repeat(" ", int(PredictBodyLimit(4))) + `}`
+	resp, err := http.Post(ts.URL+"/predict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if st := s.Stats(); st.Processed != 0 || st.Rejected != 0 || s.QueueDepth() != 0 {
+		t.Fatalf("oversized body reached admission: processed %d, rejected %d, queued %d",
+			st.Processed, st.Rejected, s.QueueDepth())
+	}
+}
+
 func TestHTTPMetricsAndHealth(t *testing.T) {
 	s := liveServer(t)
 	ts := httptest.NewServer(s.Handler())

@@ -54,6 +54,9 @@ type State struct {
 	ModelEpoch uint64 `json:"model_epoch"`
 	ModelCRC   string `json:"checkpoint_crc32"`
 	Swaps      int64  `json:"swaps"`
+	// InputLen is the element count of one input sample, which a
+	// coordinator sizes its /predict body limit from.
+	InputLen int `json:"input_len"`
 }
 
 // State snapshots the coordinator-facing replica state.
@@ -64,6 +67,7 @@ func (s *Server) State() State {
 		WindowS:  s.policy.Window,
 		Headroom: s.cfg.Headroom,
 		Rates:    append([]float64(nil), s.cfg.Rates...),
+		InputLen: s.inputLen(),
 	}
 	for r, t := range s.cal.Snapshot() {
 		st.SampleTimes = append(st.SampleTimes, RateTime{Rate: r, Seconds: t})

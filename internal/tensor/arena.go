@@ -49,7 +49,7 @@ func (a *Arena) Get(shape ...int) *Tensor {
 
 // GetUninit is Get without the zero fill: the returned tensor's contents are
 // whatever the slab last held. It exists for buffers every element of which
-// is about to be overwritten — an assign-mode GEMM destination (GemmEx), an
+// is about to be overwritten — an assign-mode GEMM destination (GemmOp.Assign), an
 // im2col scratch, a normalization output — where the clear is a wasted full
 // memory pass. Callers that leave any element unwritten read garbage; when
 // in doubt, use Get.

@@ -7,44 +7,45 @@ import (
 	"sync/atomic"
 )
 
-// The GEMM kernels below operate on raw row-major slices so that layers can
+// Every matrix product in the repository goes through one entry point,
+// Gemm, which takes a small descriptor (GemmOp): the engine tier, whether A
+// and/or B are stored transposed, whether C is overwritten (assign mode,
+// β=0) or accumulated into, a fused epilogue, and an optional persistent
+// pack for one operand. Operands are raw row-major slices, so layers can
 // address sliced (prefix) sub-matrices of larger weight buffers without
-// copying. All kernels accumulate into the destination (C += ...), which is
-// what gradient accumulation across scheduled subnets needs; the assign-mode
-// entry points (GemmEx and its packed and transposed siblings) zero each C
-// tile just before its first k-panel and run the same kernels.
+// copying: ld* are leading dimensions (row strides) of the underlying
+// buffers, which may exceed the logical number of columns when a prefix
+// slice of a wider matrix is being used.
 //
-// ld* are leading dimensions (row strides) of the underlying buffers, which
-// may exceed the logical number of columns when a prefix slice of a wider
-// matrix is being used.
-//
-// All three products funnel into one cache-blocked engine built around a
-// 2×4 axpy micro-kernel: four rows of B are fused into each pass over a pair
-// of C rows, so every loaded value feeds multiple multiply-adds and no
-// accumulator dependency chain forms — the pattern Go's scalar codegen
-// schedules best (a register-tiled dot-product micro-kernel loses here
-// because its sixteen live accumulators spill). On AVX hosts the quad-axpy
-// inner loop dispatches to a vector kernel that evaluates the same
-// expression tree per lane, bit-identically (kernel.go). B panels are
-// blocked to stay L2-resident across the row sweep; transposed operands (Aᵀ
-// for GemmTA, Bᵀ for GemmTB) are packed into row-major panels from a buffer
-// pool so the micro-kernel always streams contiguously — or, for immutable
-// inference weights, packed once and for all into a persistent PackedMat
-// (pack.go); and the row range fans out across goroutines once the problem
-// is big enough to amortize the spawns.
+// Behind the prologue sit one fan-out split (gemmParallel) and one
+// cache-blocked driver (gemmBlocked) built around a 2×4 axpy micro-kernel:
+// four rows of B are fused into each pass over a pair of C rows, so every
+// loaded value feeds multiple multiply-adds and no accumulator dependency
+// chain forms — the pattern Go's scalar codegen schedules best (a
+// register-tiled dot-product micro-kernel loses here because its sixteen
+// live accumulators spill). On AVX hosts the quad-axpy inner loop dispatches
+// to a vector kernel that evaluates the same expression tree per lane,
+// bit-identically (kernel.go). B panels are blocked to stay L2-resident
+// across the row sweep. The driver fetches each A block and B tile from one
+// of four sources: the caller's slice streamed in place, a transposed slice
+// packed into a pooled scratch panel, a persistent PackedMat, or a
+// PackedMat32 with its per-panel scale (pack.go). Assign mode zeroes each C
+// tile just before its first k-panel and runs the same accumulate kernels;
+// the row or column range fans out across goroutines once the problem is
+// big enough to amortize the spawns.
 
 // Blocking parameters.
 const (
 	// kcBlock × ncBlock bounds the B panel kept hot across the row sweep
 	// (256·256·8 B = 512 KiB, inside a server-class L2); mcBlock bounds the
-	// packed Aᵀ block of the GemmTA path to the same pool buffer size.
+	// packed Aᵀ block of a TransA product to the same pool buffer size.
 	kcBlock = 256
 	ncBlock = 256
 	mcBlock = 256
 
-	// smallGemmFlops gates the packed path for the transposed variants:
-	// below this m·n·k the transpose-copy overhead dominates and the simple
-	// strided loops win.
+	// smallGemmFlops gates the blocked driver for unpacked transposed
+	// products: below this m·n·k the transpose-copy overhead dominates and
+	// the simple strided loops win.
 	smallGemmFlops = 48 * 48 * 48
 	// parallelGemmFlops gates goroutine fan-out of the row range.
 	parallelGemmFlops = 96 * 96 * 96
@@ -75,9 +76,9 @@ const (
 // Dense→ReLU chain into a single pass over the output instead of one extra
 // full memory sweep per post-op.
 //
-// Epilogues exist only on the assign-mode entry points (GemmEx, GemmTBEx):
-// applying an affine or clamp step to an accumulating C would also transform
-// whatever the caller had accumulated so far.
+// Epilogues need GemmOp.Assign: applying an affine or clamp step to an
+// accumulating C would also transform whatever the caller had accumulated
+// so far.
 type Epilogue struct {
 	Alpha              float64
 	RowScale, RowShift []float64
@@ -110,101 +111,161 @@ func (ep *Epilogue) check(m, n int) {
 	}
 }
 
-// packPool recycles transpose-packing panels (kcBlock×ncBlock floats) so
-// steady-state GEMM calls allocate nothing.
-var packPool = sync.Pool{
-	New: func() any {
-		buf := make([]float64, kcBlock*ncBlock)
-		return &buf
-	},
+// GemmOp describes one product for Gemm. The zero value is the plain
+// exact-tier C += A·B.
+type GemmOp struct {
+	// Tier selects the kernel family (tier.go). Tier selection is per call —
+	// no global state — so exact and fast products can interleave freely.
+	Tier EngineTier
+	// TransA says A is stored [k×m] and read as Aᵀ; TransB says B is stored
+	// [n×k] and read as Bᵀ (a dense layer's [Out × In] weight).
+	TransA, TransB bool
+	// Assign overwrites C (β=0) instead of accumulating into it, so callers
+	// may pass uninitialized storage (Arena.GetUninit). Each C tile is
+	// zeroed just before its first k-panel, so the result is bit-identical
+	// to accumulating into a +0 C.
+	Assign bool
+	// Ep is applied to each C tile after its final k-panel; it needs Assign.
+	// Nil or empty epilogues cost nothing.
+	Ep *Epilogue
+	// PackA replaces A with a persistent A-layout pack (PackA, PackA32) of
+	// the straight operand, so TransA must be false; PackB replaces B with a
+	// B-layout pack (PackTB, PackTB32) of the transposed operand, so TransB
+	// must be true. The replaced slice argument is ignored. At most one
+	// operand may be packed. A *PackedMat runs the tier's f64 kernels
+	// (TierF32 falls back to fma semantics, there is no f32 data to widen);
+	// a *PackedMat32 runs the f32 widen-on-load kernels whatever the tier,
+	// since its weights are already quantized.
+	PackA, PackB Packed
 }
 
-// Gemm computes C[m×n] += A[m×k] · B[k×n] on the exact tier.
-func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	GemmT(TierExact, m, n, k, a, lda, b, ldb, c, ldc)
-}
-
-// GemmT is Gemm on an explicit engine tier: TierExact reproduces Gemm bit
-// for bit; the fast tiers contract each multiply-add into a fused one (see
-// tier.go for the accuracy contract). Tier selection is per call — no global
-// state — so exact and fast products can interleave freely.
-func GemmT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	checkMat("Gemm A", m, k, lda, len(a))
-	checkMat("Gemm B", k, n, ldb, len(b))
+// Gemm computes C[m×n] = op(A)·op(B) into C (Assign) or onto it, as op
+// describes. A is [m×k] (or [k×m] with TransA), B is [k×n] (or [n×k] with
+// TransB). Unpacked transposed products below the small-product threshold
+// run on simple strided loops that are exact on every tier: there is no
+// bandwidth or FLOP win to buy accuracy with at those sizes. Everything else
+// runs on the blocked driver, whose packed and unpacked sources produce the
+// same bits at any GOMAXPROCS: the packs preserve the driver's per-element
+// accumulation order, and a parallel split shares one pack across workers.
+func Gemm(op GemmOp, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	if op.Ep != nil && !op.Assign {
+		panic("tensor: Gemm: an epilogue needs Assign")
+	}
+	if op.PackA != nil && op.PackB != nil {
+		panic("tensor: Gemm: at most one operand may be packed")
+	}
+	ao := gemmOperandOf(true, op.TransA, m, k, a, lda, op.PackA)
+	bo := gemmOperandOf(false, op.TransB, k, n, b, ldb, op.PackB)
 	checkMat("Gemm C", m, n, ldc, len(c))
-	gemmParallel(tier, m, n, k, a, lda, false, b, ldb, false, c, ldc, false, nil)
-}
-
-// GemmEx computes C[m×n] = epilogue(A[m×k] · B[k×n]) — assign mode (β=0): C
-// is fully overwritten, so callers may pass uninitialized storage
-// (Arena.GetUninit) and skip the zero-fill pass. The epilogue (which may be
-// nil) is applied to each C panel while it is still cache-hot. The
-// accumulation order per element is identical to Gemm into a zeroed C, so
-// results are bit-identical to the unfused sequence when the epilogue steps
-// match.
-func GemmEx(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
-	GemmExT(TierExact, m, n, k, a, lda, b, ldb, c, ldc, ep)
-}
-
-// GemmExT is GemmEx on an explicit engine tier (see GemmT).
-func GemmExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
-	checkMat("GemmEx A", m, k, lda, len(a))
-	checkMat("GemmEx B", k, n, ldb, len(b))
-	checkMat("GemmEx C", m, n, ldc, len(c))
+	ep := op.Ep
 	ep.check(m, n)
 	if ep.empty() {
 		ep = nil
 	}
-	if k == 0 {
+	if op.Assign && k == 0 {
 		gemmAssignEmptyK(m, n, c, ldc, ep)
 		return
 	}
-	gemmParallel(tier, m, n, k, a, lda, false, b, ldb, false, c, ldc, true, ep)
-}
-
-// GemmTBEx computes C[m×n] = epilogue(A · Bᵀ) where B is stored as [n×k] —
-// the assign-mode, fused-epilogue variant of GemmTB (see GemmEx).
-func GemmTBEx(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
-	GemmTBExT(TierExact, m, n, k, a, lda, b, ldb, c, ldc, ep)
-}
-
-// GemmTBExT is GemmTBEx on an explicit engine tier (see GemmT). Products
-// below the small-GEMM threshold stay on the exact strided dot kernel at
-// every tier: there is no bandwidth or FLOP win to buy accuracy with at
-// those sizes, so the fast tiers are exact there by design.
-func GemmTBExT(tier EngineTier, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
-	checkMat("GemmTBEx A", m, k, lda, len(a))
-	checkMat("GemmTBEx B", n, k, ldb, len(b))
-	checkMat("GemmTBEx C", m, n, ldc, len(c))
-	ep.check(m, n)
-	if ep.empty() {
-		ep = nil
-	}
-	if m*n*k < smallGemmFlops {
-		zeroTile(m, n, c, ldc)
-		gemmTBSimple(m, n, k, a, lda, b, ldb, c, ldc)
+	if op.PackA == nil && op.PackB == nil && op.TransA != op.TransB && m*n*k < smallGemmFlops {
+		if op.Assign {
+			zeroTile(m, n, c, ldc)
+		}
+		if op.TransA {
+			gemmTASimple(m, n, k, a, lda, b, ldb, c, ldc)
+		} else {
+			gemmTBSimple(m, n, k, a, lda, b, ldb, c, ldc)
+		}
 		if ep != nil {
 			applyEpilogue(m, n, c, ldc, ep, 0, 0)
 		}
 		return
 	}
-	gemmParallel(tier, m, n, k, a, lda, false, b, ldb, true, c, ldc, true, ep)
+	gemmParallel(op.Tier, m, n, k, ao, bo, c, ldc, op.Assign, ep)
 }
 
-// gemmFanout returns how many workers the row and column splits each admit
-// for a C[m×n] product under the current GOMAXPROCS — the single source of
-// the fan-out gate shared by gemmParallel and GemmWillParallelize.
-func gemmFanout(m, n int) (rowW, colW int) {
-	workers := runtime.GOMAXPROCS(0)
-	return min(workers, m/minRowsPerWorker), min(workers, n/minColsPerWorker)
+// Operand sources of the blocked driver.
+const (
+	srcSlice  = iota // caller slice, streamed in place
+	srcTrans         // caller slice stored transposed, packed per tile into pooled scratch
+	srcPack          // PackedMat panels
+	srcPack32        // PackedMat32 panels with one scale per panel
+)
+
+// gemmOperand is one input of the blocked driver as Gemm's prologue
+// resolved it. It holds the slices themselves rather than the pack pointer:
+// fan-out workers capture operands, and a pointer taken from the descriptor
+// would drag the caller's epilogue to the heap with it (escape analysis does
+// not tell a struct's fields apart).
+type gemmOperand struct {
+	src    int
+	s      []float64 // the caller's slice, or the PackedMat panels
+	ld     int       // row stride of a caller slice
+	s32    []float32 // the PackedMat32 panels
+	scales []float64 // the PackedMat32 panel scales
 }
 
-// gemmShouldFanout is the fan-out policy shared by every parallel entry
-// point (gemmParallel, GemmPackedEx, GemmTBPackedEx, GemmWillParallelize):
-// it admits a split only when some dimension yields more than one worker and
-// the arithmetic amortizes the spawns.
+// gemmOperandOf validates one operand of a rows×cols logical matrix (A is
+// m×k, B is k×n) and resolves its source: the pack when one is given, its
+// layout and dims checked against the product, else the slice, stored
+// rows×cols or, transposed, cols×rows.
+func gemmOperandOf(aSide, trans bool, rows, cols int, s []float64, ld int, p Packed) gemmOperand {
+	if p == nil {
+		name := "Gemm B"
+		if aSide {
+			name = "Gemm A"
+		}
+		if trans {
+			checkMat(name, cols, rows, ld, len(s))
+			return gemmOperand{src: srcTrans, s: s, ld: ld}
+		}
+		checkMat(name, rows, cols, ld, len(s))
+		return gemmOperand{src: srcSlice, s: s, ld: ld}
+	}
+	// A type switch rather than Packed's methods: an interface call would
+	// leak the descriptor, and the caller's epilogue with it, to the heap.
+	var o gemmOperand
+	var aLayout bool
+	var pr, pc int
+	switch q := p.(type) {
+	case *PackedMat:
+		if q != nil {
+			o, aLayout, pr, pc = gemmOperand{src: srcPack, s: q.data}, q.aLayout, q.rows, q.cols
+		}
+	case *PackedMat32:
+		if q != nil {
+			o, aLayout, pr, pc = gemmOperand{src: srcPack32, s32: q.data, scales: q.scales}, q.aLayout, q.rows, q.cols
+		}
+	}
+	if o.src == srcSlice || aLayout != aSide {
+		if aSide {
+			panic("tensor: Gemm: A operand is not an A-layout pack (PackA/PackA32)")
+		}
+		panic("tensor: Gemm: B operand is not a B-layout pack (PackTB/PackTB32)")
+	}
+	if pr != rows || pc != cols {
+		side := "B"
+		if aSide {
+			side = "A"
+		}
+		panic(fmt.Sprintf("tensor: Gemm: packed %s is %d×%d, product wants %d×%d", side, pr, pc, rows, cols))
+	}
+	if trans == aSide {
+		if aSide {
+			panic("tensor: Gemm: PackA holds a straight A, so TransA must be false")
+		}
+		panic("tensor: Gemm: PackB holds a transposed B (PackTB), so TransB must be true")
+	}
+	return o
+}
+
+// gemmShouldFanout is the fan-out policy of gemmParallel and
+// GemmWillParallelize: it returns how many workers the row and column splits
+// each admit under the current GOMAXPROCS, and admits a split only when some
+// dimension yields more than one worker and the arithmetic amortizes the
+// spawns.
 func gemmShouldFanout(m, n, k int) (rowW, colW int, ok bool) {
-	rowW, colW = gemmFanout(m, n)
+	workers := runtime.GOMAXPROCS(0)
+	rowW, colW = min(workers, m/minRowsPerWorker), min(workers, n/minColsPerWorker)
 	return rowW, colW, (rowW > 1 || colW > 1) && m*n*k >= parallelGemmFlops
 }
 
@@ -257,13 +318,37 @@ func GemmStats() GemmCounters {
 	return gc
 }
 
-// gemmFanoutRun partitions [0, total) into chunk-sized ranges, runs each on
-// its own goroutine, and waits — the fan-out scaffolding shared by every
-// parallel GEMM entry point. The epilogue reaches the workers by value: a
-// go-closure over the caller's pointer would force every caller's stack
-// epilogue to the heap even on the serial path, so each worker receives its
-// own copy and run gets a pointer to that copy (nil when ep was nil).
-func gemmFanoutRun(total, chunk int, ep *Epilogue, run func(lo, hi int, ep *Epilogue)) {
+// gemmParallel runs the blocked driver over the whole product, or fans it
+// out across goroutines when the problem is large enough. Each worker owns
+// a disjoint C window and packs its own transposed panels, so no
+// synchronization beyond the final wait is needed; a persistent pack is
+// shared by every worker instead of re-packed.
+//
+// The split dimension is whichever of rows and columns admits more workers:
+// a dense product (large m) splits rows, while a whole-batch conv lowering
+// (m = output channels, often < 2·minRowsPerWorker, with n = batch ×
+// spatial columns) splits columns. A column split over a packed B is
+// aligned to the pack's nc tiles, so every worker's jc loop lands on tile
+// starts.
+//
+// The epilogue reaches the workers by value: a go-closure over the caller's
+// pointer would force every caller's stack epilogue to the heap even on the
+// serial path, so each worker receives its own copy.
+func gemmParallel(tier EngineTier, m, n, k int, a, b gemmOperand, c []float64, ldc int, assign bool, ep *Epilogue) {
+	rowW, colW, ok := gemmShouldFanout(m, n, k)
+	if !ok {
+		gemmBlocked(tier, m, n, k, a, b, c, ldc, assign, ep, 0, m, 0, n)
+		return
+	}
+	byCols := colW > rowW
+	total, split := m, rowW
+	if byCols {
+		total, split = n, colW
+	}
+	chunk := (total + split - 1) / split
+	if byCols && (b.src == srcPack || b.src == srcPack32) {
+		chunk = (chunk + ncBlock - 1) / ncBlock * ncBlock
+	}
 	var epv Epilogue
 	hasEp := ep != nil
 	if hasEp {
@@ -281,7 +366,11 @@ func gemmFanoutRun(total, chunk int, ep *Epilogue, run func(lo, hi int, ep *Epil
 			if hasEp {
 				wep = &epv
 			}
-			run(lo, hi, wep)
+			if byCols {
+				gemmBlocked(tier, m, n, k, a, b, c, ldc, assign, wep, 0, m, lo, hi)
+			} else {
+				gemmBlocked(tier, m, n, k, a, b, c, ldc, assign, wep, lo, hi, 0, n)
+			}
 		}(lo, hi, epv)
 	}
 	gemmFanoutCount.Add(1)
@@ -289,28 +378,117 @@ func gemmFanoutRun(total, chunk int, ep *Epilogue, run func(lo, hi int, ep *Epil
 	wg.Wait()
 }
 
-// GemmTA computes C[m×n] += Aᵀ · B where A is stored as [k×m].
-func GemmTA(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	checkMat("GemmTA A", k, m, lda, len(a))
-	checkMat("GemmTA B", k, n, ldb, len(b))
-	checkMat("GemmTA C", m, n, ldc, len(c))
-	if m*n*k < smallGemmFlops {
-		gemmTASimple(m, n, k, a, lda, b, ldb, c, ldc)
-		return
-	}
-	gemmParallel(TierExact, m, n, k, a, lda, true, b, ldb, false, c, ldc, false, nil)
+// packPool recycles transpose-packing panels (kcBlock×ncBlock floats) so
+// steady-state GEMM calls allocate nothing.
+var packPool = sync.Pool{
+	New: func() any {
+		buf := make([]float64, kcBlock*ncBlock)
+		return &buf
+	},
 }
 
-// GemmTB computes C[m×n] += A · Bᵀ where B is stored as [n×k].
-func GemmTB(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	checkMat("GemmTB A", m, k, lda, len(a))
-	checkMat("GemmTB B", n, k, ldb, len(b))
-	checkMat("GemmTB C", m, n, ldc, len(c))
-	if m*n*k < smallGemmFlops {
-		gemmTBSimple(m, n, k, a, lda, b, ldb, c, ldc)
-		return
+// gemmBlocked runs the rows [r0, r1) × columns [c0, c1) window of the m×n
+// product C (+)= A·B one (kc × nc) B tile at a time, in pc → ic → jc order:
+// the tile stays L2-resident while the window's rows sweep across it, and C
+// is revisited only k/kc times. The ic loop subdivides the rows only when a
+// transposed A block must fit the pool buffer; otherwise it runs once.
+//
+// Each A block and B tile comes from its operand's source (see gemmOperand)
+// and feeds the tier's f64 kernel, or an f32 widen-on-load kernel when a
+// PackedMat32 supplies it. A streamed B tile meeting an f32 A pack is first
+// narrowed into pooled f32 scratch: the cast is amortized over the rows/4
+// kernel sweeps that consume the tile, halves the bytes those sweeps
+// stream, and costs ≤2⁻²⁴ relative, far inside the tier's quantization
+// budget from the A pack itself.
+//
+// With assign set (β=0), each C tile is zeroed just before its first
+// k-panel accumulates into it. A non-nil epilogue is applied to each C tile
+// right after its final k-panel, while the tile is still cache-hot, at the
+// tile's offsets in the full product. Per-element accumulation order does
+// not depend on the source or the window, so every source and every split
+// gives the same bits.
+func gemmBlocked(tier EngineTier, m, n, k int, a, b gemmOperand, c []float64, ldc int, assign bool, ep *Epilogue, r0, r1, c0, c1 int) {
+	var aPack, bPack []float64
+	var bCast []float32
+	if a.src == srcTrans {
+		buf := packPool.Get().(*[]float64)
+		defer packPool.Put(buf)
+		aPack = *buf
 	}
-	gemmParallel(TierExact, m, n, k, a, lda, false, b, ldb, true, c, ldc, false, nil)
+	if b.src == srcTrans {
+		buf := packPool.Get().(*[]float64)
+		defer packPool.Put(buf)
+		bPack = *buf
+	}
+	if a.src == srcPack32 {
+		buf := castPool.Get().(*[]float32)
+		defer castPool.Put(buf)
+		bCast = *buf
+	}
+	icStep := r1 - r0
+	if a.src == srcTrans {
+		icStep = mcBlock
+	}
+	nJc := (n + ncBlock - 1) / ncBlock
+	for pc := 0; pc < k; pc += kcBlock {
+		kcb := min(kcBlock, k-pc)
+		first := pc == 0
+		last := pc+kcb == k
+		for i0 := r0; i0 < r1; i0 += icStep {
+			mcb := min(icStep, r1-i0)
+			// The A block: rows [i0, i0+mcb) of k-panel pc, row stride lda.
+			var ablk []float64
+			var a32 []float32
+			lda, sa := kcb, 0.0
+			switch a.src {
+			case srcSlice:
+				ablk, lda = a.s[i0*a.ld+pc:], a.ld
+			case srcTrans:
+				// ablk[i×kcb] = A[pc:pc+kcb, i0:i0+mcb]ᵀ.
+				packTrans(aPack, mcb, kcb, a.s, a.ld, pc, i0)
+				ablk = aPack
+			case srcPack:
+				ablk = a.s[m*pc+i0*kcb:]
+			case srcPack32:
+				a32, sa = a.s32[m*pc+i0*kcb:], a.scales[pc/kcBlock]
+			}
+			for j0 := c0; j0 < c1; j0 += ncBlock {
+				ncb := min(ncBlock, c1-j0)
+				// The B tile: k-panel pc of columns [j0, j0+ncb), row stride ldb.
+				var bt []float64
+				var b32 []float32
+				ldb, sb := ncb, 0.0
+				switch b.src {
+				case srcSlice:
+					bt, ldb = b.s[pc*b.ld+j0:], b.ld
+				case srcTrans:
+					// bt[p×ncb] = B[j0:j0+ncb, pc:pc+kcb]ᵀ.
+					packTrans(bPack, kcb, ncb, b.s, b.ld, j0, pc)
+					bt = bPack
+				case srcPack:
+					bt = b.s[pc*n+kcb*j0:]
+				case srcPack32:
+					b32, sb = b.s32[pc*n+kcb*j0:], b.scales[(pc/kcBlock)*nJc+j0/ncBlock]
+				}
+				ct := c[i0*ldc+j0:]
+				if assign && first {
+					zeroTile(mcb, ncb, ct, ldc)
+				}
+				switch {
+				case a.src == srcPack32:
+					castTile(bCast, kcb, ncb, bt, ldb)
+					gemmPanelF32A(mcb, ncb, kcb, a32, kcb, sa, bCast, ncb, ct, ldc)
+				case b.src == srcPack32:
+					gemmPanelF32B(mcb, ncb, kcb, ablk, lda, sb, b32, ncb, ct, ldc)
+				default:
+					gemmPanelT(tier, mcb, ncb, kcb, ablk, lda, bt, ldb, ct, ldc)
+				}
+				if last && ep != nil {
+					applyEpilogue(mcb, ncb, ct, ldc, ep, i0, j0)
+				}
+			}
+		}
+	}
 }
 
 // --- simple strided paths for small transposed products ---
@@ -355,118 +533,6 @@ func gemmTBSimple(m, n, k int, a []float64, lda int, b []float64, ldb int, c []f
 				s0 += ai[p] * bj[p]
 			}
 			ci[j] += s0 + s1 + s2 + s3
-		}
-	}
-}
-
-// --- blocked engine ---
-
-// gemmParallel fans the product out across goroutines when the problem is
-// large enough, then runs the serial blocked engine per chunk. Each worker
-// packs its own panels, so no synchronization beyond the final wait is
-// needed; transposed panels are re-packed per worker, an O(k·n) duplication
-// that is noise next to the O(m·n·k/P) compute per worker.
-//
-// The split dimension is whichever of rows and columns admits more workers:
-// a dense product (large m) splits rows as before, while a whole-batch conv
-// lowering (m = output channels, often < 2·minRowsPerWorker, with n = batch ×
-// spatial columns) splits columns — disjoint C column ranges are just as
-// race-free as disjoint row ranges, and the epilogue offsets follow the
-// split.
-func gemmParallel(tier EngineTier, m, n, k int, a []float64, lda int, aTrans bool, b []float64, ldb int, bTrans bool, c []float64, ldc int, assign bool, ep *Epilogue) {
-	rowW, colW, ok := gemmShouldFanout(m, n, k)
-	if !ok {
-		gemmBlocked(tier, m, n, k, a, lda, aTrans, b, ldb, bTrans, c, ldc, assign, ep, 0, 0)
-		return
-	}
-	if rowW >= colW {
-		gemmFanoutRun(m, (m+rowW-1)/rowW, ep, func(lo, hi int, wep *Epilogue) {
-			rows := hi - lo
-			if aTrans {
-				// A is [k×m]; a row offset of the logical product is a
-				// column offset in storage.
-				gemmBlocked(tier, rows, n, k, a[lo:], lda, true, b, ldb, bTrans, c[lo*ldc:], ldc, assign, wep, lo, 0)
-			} else {
-				gemmBlocked(tier, rows, n, k, a[lo*lda:], lda, false, b, ldb, bTrans, c[lo*ldc:], ldc, assign, wep, lo, 0)
-			}
-		})
-		return
-	}
-	gemmFanoutRun(n, (n+colW-1)/colW, ep, func(lo, hi int, wep *Epilogue) {
-		cols := hi - lo
-		if bTrans {
-			// B is [n×k]; a column offset of the logical product is a
-			// row offset in storage.
-			gemmBlocked(tier, m, cols, k, a, lda, aTrans, b[lo*ldb:], ldb, true, c[lo:], ldc, assign, wep, 0, lo)
-		} else {
-			gemmBlocked(tier, m, cols, k, a, lda, aTrans, b[lo:], ldb, false, c[lo:], ldc, assign, wep, 0, lo)
-		}
-	})
-}
-
-// gemmBlocked runs C (+)= op(A)·op(B) one (kc × nc) B panel at a time: the
-// panel stays L2-resident while the C rows sweep across it, and C is
-// revisited only k/kc times. Straight operands stream directly from the
-// caller's buffers; transposed operands are packed into row-major scratch
-// panels first. The ic loop only subdivides the rows when a packed Aᵀ block
-// must fit the pool buffer (GemmTA); otherwise it runs once over all rows.
-//
-// With assign set (β=0), each C tile is zeroed just before its first k-panel
-// accumulates into it, so callers may hand in uninitialized storage. A non-nil
-// epilogue is applied to each C tile right after its final k-panel, while
-// the tile is still cache-hot; rowOff/colOff locate this call's C window
-// inside the epilogue's vectors when a parallel caller has split the
-// product.
-func gemmBlocked(tier EngineTier, m, n, k int, a []float64, lda int, aTrans bool, b []float64, ldb int, bTrans bool, c []float64, ldc int, assign bool, ep *Epilogue, rowOff, colOff int) {
-	var aPack, bPack []float64
-	if aTrans {
-		buf := packPool.Get().(*[]float64)
-		defer packPool.Put(buf)
-		aPack = *buf
-	}
-	if bTrans {
-		buf := packPool.Get().(*[]float64)
-		defer packPool.Put(buf)
-		bPack = *buf
-	}
-	icStep := m
-	if aTrans {
-		icStep = mcBlock
-	}
-	for pc := 0; pc < k; pc += kcBlock {
-		kcb := min(kcBlock, k-pc)
-		first := pc == 0
-		last := pc+kcb == k
-		for ic := 0; ic < m; ic += icStep {
-			mcb := min(icStep, m-ic)
-			var ablk []float64
-			ldab := lda
-			if aTrans {
-				// ablk[i×kcb] = A[pc:pc+kcb, ic:ic+mcb]ᵀ.
-				packTrans(aPack, mcb, kcb, a, lda, pc, ic)
-				ablk, ldab = aPack, kcb
-			} else {
-				ablk = a[ic*lda+pc:]
-			}
-			for jc := 0; jc < n; jc += ncBlock {
-				ncb := min(ncBlock, n-jc)
-				var bp []float64
-				ldbp := ldb
-				if bTrans {
-					// bp[p×ncb] = B[jc:jc+ncb, pc:pc+kcb]ᵀ.
-					packTrans(bPack, kcb, ncb, b, ldb, jc, pc)
-					bp, ldbp = bPack, ncb
-				} else {
-					bp = b[pc*ldb+jc:]
-				}
-				if assign && first {
-					zeroTile(mcb, ncb, c[ic*ldc+jc:], ldc)
-				}
-				gemmPanelT(tier, mcb, ncb, kcb, ablk, ldab, bp, ldbp, c[ic*ldc+jc:], ldc)
-				if last && ep != nil {
-					applyEpilogue(mcb, ncb, c[ic*ldc+jc:], ldc, ep, rowOff+ic, colOff+jc)
-				}
-			}
 		}
 	}
 }
@@ -653,57 +719,6 @@ func packTrans(dst []float64, rows, cols int, src []float64, ld, r0, c0 int) {
 		s := src[(r0+j)*ld+c0 : (r0+j)*ld+c0+rows]
 		for i, v := range s {
 			dst[i*cols+j] = v
-		}
-	}
-}
-
-// --- matrix–vector kernels ---
-
-// MatVec computes y[m] += A[m×k] · x[k].
-func MatVec(m, k int, a []float64, lda int, x, y []float64) {
-	checkMat("MatVec A", m, k, lda, len(a))
-	checkVec("MatVec x", k, len(x))
-	checkVec("MatVec y", m, len(y))
-	for i := 0; i < m; i++ {
-		ai := a[i*lda : i*lda+k]
-		s := 0.0
-		for p, av := range ai {
-			s += av * x[p]
-		}
-		y[i] += s
-	}
-}
-
-// MatTVec computes y[k] += Aᵀ · x where A is stored as [m×k].
-func MatTVec(m, k int, a []float64, lda int, x, y []float64) {
-	checkMat("MatTVec A", m, k, lda, len(a))
-	checkVec("MatTVec x", m, len(x))
-	checkVec("MatTVec y", k, len(y))
-	for i := 0; i < m; i++ {
-		xv := x[i]
-		if xv == 0 {
-			continue
-		}
-		ai := a[i*lda : i*lda+k]
-		for p, av := range ai {
-			y[p] += xv * av
-		}
-	}
-}
-
-// OuterAcc computes A[m×k] += x[m] ⊗ y[k] (rank-1 update).
-func OuterAcc(m, k int, a []float64, lda int, x, y []float64) {
-	checkMat("OuterAcc A", m, k, lda, len(a))
-	checkVec("OuterAcc x", m, len(x))
-	checkVec("OuterAcc y", k, len(y))
-	for i := 0; i < m; i++ {
-		xv := x[i]
-		if xv == 0 {
-			continue
-		}
-		ai := a[i*lda : i*lda+k]
-		for p, yv := range y[:k] {
-			ai[p] += xv * yv
 		}
 	}
 }

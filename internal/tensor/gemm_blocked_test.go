@@ -97,9 +97,47 @@ func gemmCase(t *testing.T, name string, m, n, k, lda, ldb, ldc int,
 	}
 }
 
+// gemmLayout is one operand orientation of the descriptor sweeps: the
+// transpose flags and the naive oracle for that orientation.
+type gemmLayout struct {
+	name           string
+	transA, transB bool
+	ref            func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int)
+}
+
+var gemmLayouts = []gemmLayout{
+	{"NN", false, false, gemmRef},
+	{"TA", true, false, gemmTARef}, // A stored [k×m]
+	{"TB", false, true, gemmTBRef}, // B stored [n×k]
+}
+
+// dims returns the stored shapes of A and B for a logical m×n×k product,
+// and leading dimensions padded past their widths.
+func (l gemmLayout) dims(m, n, k, padA, padB int) (lda, ldb, aRows, aCols, bRows, bCols int) {
+	aRows, aCols, bRows, bCols = m, k, k, n
+	if l.transA {
+		aRows, aCols = k, m
+	}
+	if l.transB {
+		bRows, bCols = n, k
+	}
+	return aCols + padA, bCols + padB, aRows, aCols, bRows, bCols
+}
+
+// gemmFn adapts a descriptor to the plain kernel shape gemmCase compares.
+func gemmFn(op GemmOp) func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	return func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+		Gemm(op, m, n, k, a, lda, b, ldb, c, ldc)
+	}
+}
+
+// allTiers lists every engine tier; unpacked products on TierF32 run the
+// fma kernels.
+var allTiers = []EngineTier{TierExact, TierFMA, TierF32}
+
 // TestGemmAgainstReference sweeps deterministic shapes — both below and above
 // the blocked-path and parallel-path thresholds, with tight and strided
-// leading dimensions — for all three kernels.
+// leading dimensions — for every orientation on every tier, accumulating.
 func TestGemmAgainstReference(t *testing.T) {
 	type shape struct{ m, n, k, pad int }
 	shapes := []shape{
@@ -115,15 +153,18 @@ func TestGemmAgainstReference(t *testing.T) {
 		{40, 300, 20, 2},    // wide n crossing the nc panel boundary
 		{300, 7, 70, 0},     // tall m crossing mc blocks
 		{130, 130, 130, 11}, // above parallel threshold with GOMAXPROCS>1
+		{4, 700, 320, 1},    // too few rows to split: column split only
 		{256, 256, 260, 0},  // k > kc: multiple packed k panels
 	}
 	for _, s := range shapes {
-		lda, ldb, ldc := s.k+s.pad, s.n+s.pad, s.n+s.pad
-		gemmCase(t, "Gemm", s.m, s.n, s.k, lda, ldb, ldc, Gemm, gemmRef, s.m, s.k, s.k, s.n)
-		// GemmTA: A stored [k×m], so lda ≥ m.
-		gemmCase(t, "GemmTA", s.m, s.n, s.k, s.m+s.pad, ldb, ldc, GemmTA, gemmTARef, s.k, s.m, s.k, s.n)
-		// GemmTB: B stored [n×k], so ldb ≥ k.
-		gemmCase(t, "GemmTB", s.m, s.n, s.k, lda, s.k+s.pad, ldc, GemmTB, gemmTBRef, s.m, s.k, s.n, s.k)
+		for _, tier := range allTiers {
+			for _, l := range gemmLayouts {
+				lda, ldb, aRows, aCols, bRows, bCols := l.dims(s.m, s.n, s.k, s.pad, s.pad)
+				op := GemmOp{Tier: tier, TransA: l.transA, TransB: l.transB}
+				gemmCase(t, l.name+"/"+tier.String(), s.m, s.n, s.k, lda, ldb, s.n+s.pad, gemmFn(op), l.ref,
+					aRows, aCols, bRows, bCols)
+			}
+		}
 	}
 }
 
@@ -151,13 +192,15 @@ func TestGemmRandomShapes(t *testing.T) {
 			}
 		}
 		padA, padB, padC := rng.Intn(8), rng.Intn(8), rng.Intn(8)
-		gemmCase(t, "Gemm", m, n, k, k+padA, n+padB, n+padC, Gemm, gemmRef, m, k, k, n)
-		gemmCase(t, "GemmTA", m, n, k, m+padA, n+padB, n+padC, GemmTA, gemmTARef, k, m, k, n)
-		gemmCase(t, "GemmTB", m, n, k, k+padA, k+padB, n+padC, GemmTB, gemmTBRef, m, k, n, k)
+		for _, l := range gemmLayouts {
+			lda, ldb, aRows, aCols, bRows, bCols := l.dims(m, n, k, padA, padB)
+			op := GemmOp{TransA: l.transA, TransB: l.transB}
+			gemmCase(t, l.name, m, n, k, lda, ldb, n+padC, gemmFn(op), l.ref, aRows, aCols, bRows, bCols)
+		}
 	}
 }
 
-// --- assign-mode epilogue kernels (GemmEx, GemmTBEx) ---
+// --- assign mode and the fused epilogue ---
 
 // epilogueRef applies the Epilogue contract naively to a fully accumulated
 // product — the oracle for the fused in-panel application.
@@ -222,12 +265,10 @@ func epilogueCase(rng *rand.Rand, mask, m, n int) *Epilogue {
 	return ep
 }
 
-// gemmExCase runs one assign-mode configuration through a fused kernel and
-// its unfused reference (accumulate into zeros, then apply the epilogue
-// naively), starting from a garbage-filled destination to prove assign mode
-// overwrites every element.
-func gemmExCase(t *testing.T, name string, m, n, k, lda, ldb, ldc int, ep *Epilogue,
-	kernel func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, ep *Epilogue),
+// gemmExCase runs one assign-mode descriptor and its unfused reference
+// (accumulate into zeros, then apply op.Ep naively), starting from a
+// garbage-filled destination to prove assign mode overwrites every element.
+func gemmExCase(t *testing.T, name string, op GemmOp, m, n, k, lda, ldb, ldc int,
 	ref func(m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int),
 	aRows, aCols, bRows, bCols int) {
 	t.Helper()
@@ -247,9 +288,9 @@ func gemmExCase(t *testing.T, name string, m, n, k, lda, ldb, ldc int, ep *Epilo
 		}
 	}
 
-	kernel(m, n, k, a, lda, b, ldb, cGot, ldc, ep)
+	Gemm(op, m, n, k, a, lda, b, ldb, cGot, ldc)
 	ref(m, n, k, a, lda, b, ldb, cWant, ldc)
-	epilogueRef(m, n, cWant, ldc, ep)
+	epilogueRef(m, n, cWant, ldc, op.Ep)
 
 	tol := 1e-10 * math.Sqrt(float64(k))
 	for i := range cGot {
@@ -268,7 +309,8 @@ func gemmExCase(t *testing.T, name string, m, n, k, lda, ldb, ldc int, ep *Epilo
 }
 
 // TestGemmExEpilogueCombinations sweeps every epilogue feature combination
-// over shapes on both sides of the blocked and parallel thresholds.
+// over every orientation in assign mode, on shapes on both sides of the
+// small-product, blocked and parallel thresholds.
 func TestGemmExEpilogueCombinations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	type shape struct{ m, n, k, pad int }
@@ -284,16 +326,17 @@ func TestGemmExEpilogueCombinations(t *testing.T) {
 	for _, s := range shapes {
 		for mask := 0; mask < 64; mask++ {
 			ep := epilogueCase(rng, mask, s.m, s.n)
-			lda, ldb, ldc := s.k+s.pad, s.n+s.pad, s.n+s.pad
-			gemmExCase(t, "GemmEx", s.m, s.n, s.k, lda, ldb, ldc, ep, GemmEx, gemmRef, s.m, s.k, s.k, s.n)
-			// GemmTBEx: B stored [n×k], so ldb ≥ k.
-			gemmExCase(t, "GemmTBEx", s.m, s.n, s.k, lda, s.k+s.pad, ldc, ep, GemmTBEx, gemmTBRef, s.m, s.k, s.n, s.k)
+			for _, l := range gemmLayouts {
+				lda, ldb, aRows, aCols, bRows, bCols := l.dims(s.m, s.n, s.k, s.pad, s.pad)
+				op := GemmOp{TransA: l.transA, TransB: l.transB, Assign: true, Ep: ep}
+				gemmExCase(t, l.name, op, s.m, s.n, s.k, lda, ldb, s.n+s.pad, l.ref, aRows, aCols, bRows, bCols)
+			}
 		}
 	}
 }
 
-// TestGemmExRandomShapes is the property test for the assign-mode kernels:
-// random shapes, random strides, random epilogues.
+// TestGemmExRandomShapes is the property test for assign mode: random
+// shapes, random strides, random epilogues, every orientation.
 func TestGemmExRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	iters := 60
@@ -316,30 +359,35 @@ func TestGemmExRandomShapes(t *testing.T) {
 		}
 		ep := epilogueCase(rng, rng.Intn(64), m, n)
 		padA, padB, padC := rng.Intn(8), rng.Intn(8), rng.Intn(8)
-		gemmExCase(t, "GemmEx", m, n, k, k+padA, n+padB, n+padC, ep, GemmEx, gemmRef, m, k, k, n)
-		gemmExCase(t, "GemmTBEx", m, n, k, k+padA, k+padB, n+padC, ep, GemmTBEx, gemmTBRef, m, k, n, k)
+		for _, l := range gemmLayouts {
+			lda, ldb, aRows, aCols, bRows, bCols := l.dims(m, n, k, padA, padB)
+			op := GemmOp{TransA: l.transA, TransB: l.transB, Assign: true, Ep: ep}
+			gemmExCase(t, l.name, op, m, n, k, lda, ldb, n+padC, l.ref, aRows, aCols, bRows, bCols)
+		}
 	}
 }
 
 // TestGemmExBitIdenticalToGemm pins the assign-mode contract the inference
-// path relies on, for every assign entry point and tier: the output bits do
-// not depend on what C held before (NaN or random garbage), the padding
-// columns past n stay untouched, and on the exact and fma tiers the result
-// equals the accumulate-mode product into a +0 C bit for bit (GemmT; GemmTB
-// for GemmTBExT's small-product path, which is exact at every tier). Row 0 of
-// A is −1 against an all-zero column 0 of B, so C[0][0] is an exact −0 sum,
-// which assign mode must return as +0 — the value a zeroed C accumulates to.
-// The shapes cover k < 4, k > kcBlock, the small GemmTBExT path and (at
-// GOMAXPROCS ≥ 2) the fan-out split.
+// path relies on, for every assign descriptor: the output bits do not depend
+// on what C held before (NaN or random garbage), the padding columns past n
+// stay untouched, and — except for the f32 packs — the result equals the
+// same product accumulated into a +0 C bit for bit (the straight product,
+// or the transposed one on the small strided paths, which are exact at every
+// tier). Row 0 of A is −1 against an all-zero column 0 of B, so C[0][0] is
+// an exact −0 sum, which assign mode must return as +0 — the value a zeroed
+// C accumulates to. The shapes cover k < 4, k > kcBlock, the small
+// transposed paths and (at GOMAXPROCS ≥ 2) the fan-out split.
 func TestGemmExBitIdenticalToGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	crng := rand.New(rand.NewSource(19)) // prior C contents
 	for _, s := range [][3]int{{5, 9, 3}, {20, 30, 50}, {192, 200, 3}, {16, 256, 72}, {64, 64, 300}, {130, 130, 130}} {
 		m, n, k := s[0], s[1], s[2]
-		lda, ldb, ldbT, ldc := k+1, n+2, k+3, n+3
+		lda, ldaT, ldb, ldbT, ldc := k+1, m+4, n+2, k+3, n+3
 		a := make([]float64, m*lda)
 		b := make([]float64, k*ldb) // straight B[k×n]
 		fillRand(rng, a)
 		fillRand(rng, b)
+		at := make([]float64, k*ldaT) // the same A stored transposed, [k×m]
 		bt := make([]float64, n*ldbT) // the same B stored transposed, [n×k]
 		for p := 0; p < k; p++ {
 			a[p] = -1
@@ -348,58 +396,64 @@ func TestGemmExBitIdenticalToGemm(t *testing.T) {
 				bt[j*ldbT+p] = b[p*ldb+j]
 			}
 		}
-		smallTB := m*n*k < smallGemmFlops
+		for i := 0; i < m; i++ {
+			for p := 0; p < k; p++ {
+				at[p*ldaT+i] = a[i*lda+p]
+			}
+		}
+		small := m*n*k < smallGemmFlops
 
+		// Each entry is an assign-mode descriptor with its operands; ref is
+		// the accumulate-mode twin (nil for the f32 packs).
 		type entry struct {
-			name string
-			run  func(c []float64)
-			ref  func(c []float64) // accumulate-mode twin; nil for the f32 packs
+			name     string
+			op       GemmOp
+			a, b     []float64
+			lda, ldb int
+			ref      *GemmOp
 		}
 		var entries []entry
-		for _, tier := range []EngineTier{TierExact, TierFMA} {
-			straight := func(c []float64) { GemmT(tier, m, n, k, a, lda, b, ldb, c, ldc) }
-			tbRef := straight
-			if smallTB {
-				tbRef = func(c []float64) { GemmTB(m, n, k, a, lda, bt, ldbT, c, ldc) }
+		for _, tier := range allTiers[:2] {
+			straight := &GemmOp{Tier: tier}
+			taRef, tbRef := straight, straight
+			if small {
+				taRef, tbRef = &GemmOp{TransA: true}, &GemmOp{TransB: true}
 			}
 			pa, pb := PackA(m, k, a, lda), PackTB(n, k, bt, ldbT)
 			entries = append(entries,
-				entry{"GemmExT/" + tier.String(), func(c []float64) {
-					GemmExT(tier, m, n, k, a, lda, b, ldb, c, ldc, nil)
-				}, straight},
-				entry{"GemmTBExT/" + tier.String(), func(c []float64) {
-					GemmTBExT(tier, m, n, k, a, lda, bt, ldbT, c, ldc, nil)
-				}, tbRef},
-				entry{"GemmPackedExT/" + tier.String(), func(c []float64) {
-					GemmPackedExT(tier, m, n, k, pa, b, ldb, c, ldc, nil)
-				}, straight},
-				entry{"GemmTBPackedExT/" + tier.String(), func(c []float64) {
-					GemmTBPackedExT(tier, m, n, k, a, lda, pb, c, ldc, nil)
-				}, straight})
+				entry{"NN/" + tier.String(), GemmOp{Tier: tier}, a, b, lda, ldb, straight},
+				entry{"TA/" + tier.String(), GemmOp{Tier: tier, TransA: true}, at, b, ldaT, ldb, taRef},
+				entry{"TB/" + tier.String(), GemmOp{Tier: tier, TransB: true}, a, bt, lda, ldbT, tbRef},
+				entry{"PackA/" + tier.String(), GemmOp{Tier: tier, PackA: pa}, nil, b, 0, ldb, straight},
+				entry{"PackTB/" + tier.String(), GemmOp{Tier: tier, TransB: true, PackB: pb}, a, nil, lda, 0, straight})
 		}
-		pa32, pb32 := PackA32(m, k, a, lda), PackTB32(n, k, bt, ldbT)
 		entries = append(entries,
-			entry{"GemmPackedExT/PackA32", func(c []float64) {
-				GemmPackedExT(TierF32, m, n, k, pa32, b, ldb, c, ldc, nil)
-			}, nil},
-			entry{"GemmTBPackedExT/PackTB32", func(c []float64) {
-				GemmTBPackedExT(TierF32, m, n, k, a, lda, pb32, c, ldc, nil)
-			}, nil})
+			entry{"PackA32", GemmOp{Tier: TierF32, PackA: PackA32(m, k, a, lda)}, nil, b, 0, ldb, nil},
+			entry{"PackTB32", GemmOp{Tier: TierF32, TransB: true, PackB: PackTB32(n, k, bt, ldbT)}, a, nil, lda, 0, nil})
 
 		for _, e := range entries {
+			e.op.Assign = true
+			run := func(c []float64) { Gemm(e.op, m, n, k, e.a, e.lda, e.b, e.ldb, c, ldc) }
 			cNaN := make([]float64, m*ldc)
 			for i := range cNaN {
 				cNaN[i] = math.NaN()
 			}
 			cRand := make([]float64, m*ldc)
-			fillRand(rng, cRand)
+			fillRand(crng, cRand)
 			prior := append([]float64(nil), cRand...)
-			e.run(cNaN)
-			e.run(cRand)
+			run(cNaN)
+			run(cRand)
 			var cRef []float64
 			if e.ref != nil {
 				cRef = make([]float64, m*ldc)
-				e.ref(cRef)
+				ra, rlda, rb, rldb := a, lda, b, ldb
+				if e.ref.TransA {
+					ra, rlda = at, ldaT
+				}
+				if e.ref.TransB {
+					rb, rldb = bt, ldbT
+				}
+				Gemm(*e.ref, m, n, k, ra, rlda, rb, rldb, cRef, ldc)
 			}
 			for i := 0; i < m; i++ {
 				for j := 0; j < ldc; j++ {
@@ -429,11 +483,11 @@ func TestGemmExBitIdenticalToGemm(t *testing.T) {
 }
 
 // TestGemmExEmptyK pins the assign-mode contract at k = 0: an empty sum
-// must still fully overwrite C (zeros) and run the epilogue, matching what
-// GemmTBEx's simple path already does.
+// must still fully overwrite C (zeros) and run the epilogue, on the blocked
+// and the small strided path alike.
 func TestGemmExEmptyK(t *testing.T) {
 	c := []float64{7, 7, 7, 7, 7, 7}
-	GemmEx(2, 2, 0, nil, 0, nil, 2, c, 3, &Epilogue{RowShift: []float64{1, 2}})
+	Gemm(GemmOp{Assign: true, Ep: &Epilogue{RowShift: []float64{1, 2}}}, 2, 2, 0, nil, 0, nil, 2, c, 3)
 	want := []float64{1, 1, 7, 2, 2, 7} // ldc=3: slack column untouched
 	for i := range want {
 		if c[i] != want[i] {
@@ -441,49 +495,31 @@ func TestGemmExEmptyK(t *testing.T) {
 		}
 	}
 	c2 := []float64{7, 7, 7, 7}
-	GemmTBEx(2, 2, 0, nil, 0, nil, 0, c2, 2, nil)
+	Gemm(GemmOp{TransB: true, Assign: true}, 2, 2, 0, nil, 0, nil, 0, c2, 2)
 	for i, v := range c2 {
 		if v != 0 {
-			t.Fatalf("GemmTBEx k=0: c[%d] = %g, want 0", i, v)
+			t.Fatalf("TransB k=0: c[%d] = %g, want 0", i, v)
 		}
 	}
 }
 
-// TestEpilogueVectorChecks verifies the epilogue length validation.
+// TestEpilogueVectorChecks verifies the epilogue length validation, and
+// that an epilogue on an accumulating product is refused.
 func TestEpilogueVectorChecks(t *testing.T) {
 	a := make([]float64, 12)
 	b := make([]float64, 12)
 	c := make([]float64, 9)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GemmEx accepted a short RowScale")
-		}
-	}()
-	GemmEx(3, 3, 4, a, 4, b, 3, c, 3, &Epilogue{RowScale: make([]float64, 2)})
-}
-
-// TestMatVecChecks verifies the unified shape-error reporting of the
-// matrix–vector kernels.
-func TestMatVecChecks(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
+	expectPanic := func(name string, op GemmOp) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
+				t.Fatalf("%s: Gemm accepted it", name)
 			}
 		}()
-		fn()
+		Gemm(op, 3, 3, 4, a, 4, b, 3, c, 3)
 	}
-	a := make([]float64, 12)
-	x := make([]float64, 4)
-	y := make([]float64, 3)
-	MatVec(3, 4, a, 4, x, y) // well-formed
-	expectPanic("short x", func() { MatVec(3, 4, a, 4, x[:3], y) })
-	expectPanic("short y", func() { MatVec(3, 4, a, 4, x, y[:2]) })
-	expectPanic("short A", func() { MatVec(4, 4, a, 4, x, make([]float64, 4)) })
-	expectPanic("bad lda", func() { MatVec(3, 4, a, 3, x, y) })
-	expectPanic("MatTVec short x", func() { MatTVec(3, 4, a, 4, make([]float64, 2), x) })
-	expectPanic("OuterAcc short y", func() { OuterAcc(3, 4, a, 4, y, x[:3]) })
+	expectPanic("short RowScale", GemmOp{Assign: true, Ep: &Epilogue{RowScale: make([]float64, 2)}})
+	expectPanic("epilogue without Assign", GemmOp{Ep: &Epilogue{ReLU: true}})
 }
 
 // --- kernel benchmarks: size sweep for the perf trajectory ---
@@ -504,13 +540,13 @@ func benchGemmSize(b *testing.B, n int, kernel func(m, n, k int, a []float64, ld
 	b.ReportMetric(2*float64(n)*float64(n)*float64(n)/float64(b.Elapsed().Nanoseconds())*float64(b.N), "GFLOPS")
 }
 
-func BenchmarkGemm32(b *testing.B)    { benchGemmSize(b, 32, Gemm) }
-func BenchmarkGemm64(b *testing.B)    { benchGemmSize(b, 64, Gemm) }
-func BenchmarkGemm128(b *testing.B)   { benchGemmSize(b, 128, Gemm) }
-func BenchmarkGemm256(b *testing.B)   { benchGemmSize(b, 256, Gemm) }
-func BenchmarkGemm512(b *testing.B)   { benchGemmSize(b, 512, Gemm) }
-func BenchmarkGemmTA256(b *testing.B) { benchGemmSize(b, 256, GemmTA) }
-func BenchmarkGemmTB256(b *testing.B) { benchGemmSize(b, 256, GemmTB) }
+func BenchmarkGemm32(b *testing.B)    { benchGemmSize(b, 32, gemmFn(GemmOp{})) }
+func BenchmarkGemm64(b *testing.B)    { benchGemmSize(b, 64, gemmFn(GemmOp{})) }
+func BenchmarkGemm128(b *testing.B)   { benchGemmSize(b, 128, gemmFn(GemmOp{})) }
+func BenchmarkGemm256(b *testing.B)   { benchGemmSize(b, 256, gemmFn(GemmOp{})) }
+func BenchmarkGemm512(b *testing.B)   { benchGemmSize(b, 512, gemmFn(GemmOp{})) }
+func BenchmarkGemmTA256(b *testing.B) { benchGemmSize(b, 256, gemmFn(GemmOp{TransA: true})) }
+func BenchmarkGemmTB256(b *testing.B) { benchGemmSize(b, 256, gemmFn(GemmOp{TransB: true})) }
 
 func BenchmarkGemmRef256(b *testing.B) { benchGemmSize(b, 256, gemmRef) }
 

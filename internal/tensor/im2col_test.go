@@ -68,7 +68,7 @@ func TestIm2ColGemmMatchesDirectConv(t *testing.T) {
 			t.Fatalf("Im2Col out size (%d,%d), want (%d,%d)", gotH, gotW, outH, outW)
 		}
 		got := make([]float64, tc.outC*outH*outW)
-		Gemm(tc.outC, outH*outW, colRows, kernel, colRows, col, outH*outW, got, outH*outW)
+		Gemm(GemmOp{}, tc.outC, outH*outW, colRows, kernel, colRows, col, outH*outW, got, outH*outW)
 		for i := range got {
 			if !almostEqual(got[i], want[i], 1e-10) {
 				t.Fatalf("case %+v: im2col conv[%d] = %v, want %v", tc, i, got[i], want[i])

@@ -6,7 +6,7 @@ import (
 )
 
 // TestVectorKernelBitIdenticalToScalar pins the contract the AVX backend is
-// built on: with the vector kernels force-disabled, every entry point must
+// built on: with the vector kernels force-disabled, every descriptor must
 // produce the same bits as with them enabled — each lane evaluates the scalar
 // expression tree verbatim (mul then left-to-right adds, no FMA). Skipped on
 // hosts with no vector backend.
@@ -26,21 +26,6 @@ func TestVectorKernelBitIdenticalToScalar(t *testing.T) {
 		{16, 7, 30, 0},     // below vecMinCols: scalar either way
 		{130, 130, 130, 0}, // above the parallel threshold
 	}
-	run := func(dst []float64, s shape, a, b, bt []float64, ep *Epilogue, which int) {
-		lda, ldb, ldc := s.k+s.pad, s.n+s.pad, s.n+s.pad
-		switch which {
-		case 0:
-			Gemm(s.m, s.n, s.k, a, lda, b, ldb, dst, ldc)
-		case 1:
-			GemmEx(s.m, s.n, s.k, a, lda, b, ldb, dst, ldc, ep)
-		case 2:
-			GemmTBEx(s.m, s.n, s.k, a, lda, bt, s.k+s.pad, dst, ldc, ep)
-		case 3:
-			GemmPackedEx(s.m, s.n, s.k, PackA(s.m, s.k, a, lda), b, ldb, dst, ldc, ep)
-		case 4:
-			GemmTBPackedEx(s.m, s.n, s.k, a, lda, PackTB(s.n, s.k, bt, s.k+s.pad), dst, ldc, ep)
-		}
-	}
 	for _, s := range shapes {
 		lda, ldb, ldc := s.k+s.pad, s.n+s.pad, s.n+s.pad
 		a := make([]float64, (s.m-1)*lda+s.k+3)
@@ -50,19 +35,32 @@ func TestVectorKernelBitIdenticalToScalar(t *testing.T) {
 		fillRand(rng, b)
 		fillRand(rng, bt)
 		ep := epilogueCase(rng, rng.Intn(64), s.m, s.n)
-		for which := 0; which < 5; which++ {
+		ldbT := s.k + s.pad
+		ops := []struct {
+			name     string
+			op       GemmOp
+			a, b     []float64
+			lda, ldb int
+		}{
+			{"NN", GemmOp{}, a, b, lda, ldb},
+			{"NN/assign", GemmOp{Assign: true, Ep: ep}, a, b, lda, ldb},
+			{"TB/assign", GemmOp{TransB: true, Assign: true, Ep: ep}, a, bt, lda, ldbT},
+			{"PackA", GemmOp{Assign: true, Ep: ep, PackA: PackA(s.m, s.k, a, lda)}, nil, b, 0, ldb},
+			{"PackTB", GemmOp{TransB: true, Assign: true, Ep: ep, PackB: PackTB(s.n, s.k, bt, ldbT)}, a, nil, lda, 0},
+		}
+		for _, o := range ops {
 			seed := make([]float64, (s.m-1)*ldc+s.n+3)
 			fillRand(rng, seed)
 			vec := append([]float64(nil), seed...)
-			run(vec, s, a, b, bt, ep, which)
+			Gemm(o.op, s.m, s.n, s.k, o.a, o.lda, o.b, o.ldb, vec, ldc)
 			useAVX = false
 			scal := append([]float64(nil), seed...)
-			run(scal, s, a, b, bt, ep, which)
+			Gemm(o.op, s.m, s.n, s.k, o.a, o.lda, o.b, o.ldb, scal, ldc)
 			useAVX = true
 			for i := range vec {
 				if vec[i] != scal[i] {
-					t.Fatalf("entry %d m=%d n=%d k=%d pad=%d: vector[%d]=%g, scalar=%g (not bit-identical)",
-						which, s.m, s.n, s.k, s.pad, i, vec[i], scal[i])
+					t.Fatalf("%s m=%d n=%d k=%d pad=%d: vector[%d]=%g, scalar=%g (not bit-identical)",
+						o.name, s.m, s.n, s.k, s.pad, i, vec[i], scal[i])
 				}
 			}
 		}

@@ -1,24 +1,23 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"sync"
 )
 
-// Persistent pre-packed operand panels. The blocked engine (gemm.go) packs
+// Persistent pre-packed operand panels. The blocked driver (gemm.go) packs
 // transposed operands into cache-sized scratch panels on every call, and the
 // straight operands it streams still pay strided reads when the caller hands
 // in a prefix slice of a wider weight buffer. At inference time the weight
 // operand of every GEMM is immutable, so that packing is pure waste after the
 // first query: a PackedMat performs it exactly once, laying the operand out in
-// the micro-panel order the blocked loops consume, and the GemmPackedEx /
-// GemmTBPackedEx entry points stream those panels directly.
+// the micro-panel order the blocked loops consume, and a Gemm call whose
+// GemmOp sets PackA or PackB streams those panels directly.
 //
-// The panel geometry matches the engine's blocking (kcBlock × ncBlock), so a
+// The panel geometry matches the driver's blocking (kcBlock × ncBlock), so a
 // packed product visits memory in the same order as an unpacked one and the
 // per-element accumulation order is unchanged — packed results are
-// bit-identical to the unpacked blocked engine. (A wider 4×4 / 2×8 scalar
+// bit-identical to the unpacked blocked driver. (A wider 4×4 / 2×8 scalar
 // micro-kernel over the packed panels was measured and rejected: Go's scalar
 // codegen spills its sixteen live multipliers and loses 20-40% to the 2×4
 // kernel at every serving shape; the kernel win comes instead from the
@@ -50,8 +49,8 @@ type PackedMat struct {
 
 // Packed is the interface over the pack variants the engine consumes: the
 // f64 PackedMat (exact and fma tiers) and the float32 PackedMat32 (f32
-// tier). The packed GEMM entry points type-switch on the concrete type; the
-// interface exists so pack caches can hold either variant uniformly.
+// tier). Gemm type-switches on the concrete type; the interface exists so
+// GemmOp and the pack caches can hold either variant uniformly.
 type Packed interface {
 	// Dims returns the logical (rows, cols) of the packed operand: (m, k)
 	// for an A-layout pack, (k, n) for a B-layout pack.
@@ -110,7 +109,7 @@ func packScale(max float64) float64 {
 }
 
 // PackA packs the straight left operand A[m×k] (row stride lda) into A-layout
-// panels for GemmPackedEx.
+// panels for GemmOp.PackA.
 func PackA(m, k int, a []float64, lda int) *PackedMat {
 	checkMat("PackA A", m, k, lda, len(a))
 	p := &PackedMat{rows: m, cols: k, aLayout: true, data: make([]float64, m*k)}
@@ -125,8 +124,8 @@ func PackA(m, k int, a []float64, lda int) *PackedMat {
 }
 
 // PackTB packs a transposed right operand — B stored [n×k] with row stride
-// ldb, consumed as Bᵀ[k×n] (the GemmTB orientation: a dense layer's
-// [Out × In] weight) — into B-layout tiles.
+// ldb, consumed as Bᵀ[k×n] (the TransB orientation: a dense layer's
+// [Out × In] weight) — into B-layout tiles for GemmOp.PackB.
 func PackTB(n, k int, b []float64, ldb int) *PackedMat {
 	checkMat("PackTB B", n, k, ldb, len(b))
 	p := &PackedMat{rows: k, cols: n, data: make([]float64, k*n)}
@@ -206,180 +205,18 @@ func PackTB32(n, k int, b []float64, ldb int) *PackedMat32 {
 }
 
 // GemmTBPrefersPacked reports whether a C[m×n] = A·Bᵀ product of the given
-// shape runs on the blocked engine, where the persistent packed path is
+// shape runs on the blocked driver, where the persistent packed path is
 // faster and bit-identical to the unpacked one. Below the small-product
-// threshold GemmTB/GemmTBEx use the strided dot-product kernel instead —
-// there the pack would change the accumulation order and save nothing, so
-// callers skip packing for those widths.
+// threshold an unpacked TransB product uses the strided dot-product loop
+// instead — there the pack would change the accumulation order and save
+// nothing, so callers skip packing for those widths.
 func GemmTBPrefersPacked(m, n, k int) bool { return m*n*k >= smallGemmFlops }
 
-// GemmPackedEx computes C[m×n] = epilogue(A · B) with a pre-packed A operand
-// (PackA) and a streamed B — assign mode, like GemmEx. This is the
-// convolution orientation: the immutable weight matrix is A, the per-call
-// im2col matrix is B. Results are bit-identical to GemmEx on the same
-// operands, at any GOMAXPROCS: the packed panels preserve the blocked
-// engine's per-element accumulation order, and a parallel split shares the
-// one pack across workers instead of re-packing per worker.
-func GemmPackedEx(m, n, k int, pa Packed, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
-	GemmPackedExT(TierExact, m, n, k, pa, b, ldb, c, ldc, ep)
-}
-
-// GemmPackedExT is GemmPackedEx on an explicit engine tier. The pack's
-// concrete type picks the data path: a *PackedMat runs the tier's f64
-// kernels (TierF32 degrades to TierFMA semantics — there is no f32 data to
-// widen), while a *PackedMat32 always runs the f32 widen-on-load kernels
-// regardless of the requested tier, since the stored weights have already
-// been quantized.
-func GemmPackedExT(tier EngineTier, m, n, k int, pa Packed, b []float64, ldb int, c []float64, ldc int, ep *Epilogue) {
-	pm, _ := pa.(*PackedMat)
-	p32, _ := pa.(*PackedMat32)
-	if (pm == nil || !pm.aLayout) && (p32 == nil || !p32.aLayout) {
-		panic("tensor: GemmPackedEx: A operand is not an A-layout pack (PackA/PackA32)")
-	}
-	pr, pc := pa.Dims()
-	if pr != m || pc != k {
-		panic(fmt.Sprintf("tensor: GemmPackedEx: packed A is %d×%d, product wants %d×%d", pr, pc, m, k))
-	}
-	checkMat("GemmPackedEx B", k, n, ldb, len(b))
-	checkMat("GemmPackedEx C", m, n, ldc, len(c))
-	ep.check(m, n)
-	if ep.empty() {
-		ep = nil
-	}
-	if k == 0 {
-		gemmAssignEmptyK(m, n, c, ldc, ep)
-		return
-	}
-	rowW, colW, ok := gemmShouldFanout(m, n, k)
-	if !ok {
-		if p32 != nil {
-			gemmBlockedPackedA32(m, 0, n, k, p32, b, ldb, c, ldc, ep, 0)
-		} else {
-			gemmBlockedPackedA(tier, m, 0, n, k, pm, b, ldb, c, ldc, ep, 0)
-		}
-		return
-	}
-	if rowW >= colW {
-		// Row split: each worker reads its row range of the shared pack
-		// (row lo of a k-panel sits at lo·kcb inside the panel).
-		gemmFanoutRun(m, (m+rowW-1)/rowW, ep, func(lo, hi int, wep *Epilogue) {
-			if p32 != nil {
-				gemmBlockedPackedA32(hi-lo, lo, n, k, p32, b, ldb, c[lo*ldc:], ldc, wep, 0)
-			} else {
-				gemmBlockedPackedA(tier, hi-lo, lo, n, k, pm, b, ldb, c[lo*ldc:], ldc, wep, 0)
-			}
-		})
-		return
-	}
-	// Column split: B and C are offset per worker; the A pack needs no
-	// offset at all — every worker streams the same panels.
-	gemmFanoutRun(n, (n+colW-1)/colW, ep, func(lo, hi int, wep *Epilogue) {
-		if p32 != nil {
-			gemmBlockedPackedA32(m, 0, hi-lo, k, p32, b[lo:], ldb, c[lo:], ldc, wep, lo)
-		} else {
-			gemmBlockedPackedA(tier, m, 0, hi-lo, k, pm, b[lo:], ldb, c[lo:], ldc, wep, lo)
-		}
-	})
-}
-
-// GemmTBPackedEx computes C[m×n] = epilogue(A · Bᵀ) with B pre-packed
-// (PackTB of the [n×k]-stored operand) and a streamed A — assign mode, like
-// GemmTBEx. This is the dense-layer orientation: the immutable [Out × In]
-// weight is Bᵀ, the activations are A.
-// Results are bit-identical to the unpacked blocked engine (the gemmParallel
-// path GemmTBEx takes above its small-product threshold) on the same
-// operands, at any GOMAXPROCS.
-func GemmTBPackedEx(m, n, k int, a []float64, lda int, pb Packed, c []float64, ldc int, ep *Epilogue) {
-	GemmTBPackedExT(TierExact, m, n, k, a, lda, pb, c, ldc, ep)
-}
-
-// GemmTBPackedExT is GemmTBPackedEx on an explicit engine tier; the pack's
-// concrete type picks the data path exactly as in GemmPackedExT.
-func GemmTBPackedExT(tier EngineTier, m, n, k int, a []float64, lda int, pb Packed, c []float64, ldc int, ep *Epilogue) {
-	pm, _ := pb.(*PackedMat)
-	p32, _ := pb.(*PackedMat32)
-	if (pm == nil || pm.aLayout) && (p32 == nil || p32.aLayout) {
-		panic("tensor: GemmTBPackedEx: B operand is not a B-layout pack (PackTB/PackTB32)")
-	}
-	pr, pc := pb.Dims()
-	if pr != k || pc != n {
-		panic(fmt.Sprintf("tensor: GemmTBPackedEx: packed B is %d×%d, product wants %d×%d", pr, pc, k, n))
-	}
-	checkMat("GemmTBPackedEx A", m, k, lda, len(a))
-	checkMat("GemmTBPackedEx C", m, n, ldc, len(c))
-	ep.check(m, n)
-	if ep.empty() {
-		ep = nil
-	}
-	if k == 0 {
-		gemmAssignEmptyK(m, n, c, ldc, ep)
-		return
-	}
-	rowW, colW, ok := gemmShouldFanout(m, n, k)
-	if !ok {
-		if p32 != nil {
-			gemmBlockedPackedB32(m, n, 0, k, a, lda, p32, c, ldc, ep, 0)
-		} else {
-			gemmBlockedPackedB(tier, m, n, 0, k, a, lda, pm, c, ldc, ep, 0)
-		}
-		return
-	}
-	if rowW >= colW {
-		gemmFanoutRun(m, (m+rowW-1)/rowW, ep, func(lo, hi int, wep *Epilogue) {
-			if p32 != nil {
-				gemmBlockedPackedB32(hi-lo, n, 0, k, a[lo*lda:], lda, p32, c[lo*ldc:], ldc, wep, lo)
-			} else {
-				gemmBlockedPackedB(tier, hi-lo, n, 0, k, a[lo*lda:], lda, pm, c[lo*ldc:], ldc, wep, lo)
-			}
-		})
-		return
-	}
-	// Column split aligned to the pack's nc tiles, so every worker's jc
-	// loop lands on tile starts of the shared pack.
-	chunk := (n + colW - 1) / colW
-	chunk = (chunk + ncBlock - 1) / ncBlock * ncBlock
-	gemmFanoutRun(n, chunk, ep, func(lo, hi int, wep *Epilogue) {
-		if p32 != nil {
-			gemmBlockedPackedB32(m, hi-lo, lo, k, a, lda, p32, c[lo:], ldc, wep, 0)
-		} else {
-			gemmBlockedPackedB(tier, m, hi-lo, lo, k, a, lda, pm, c[lo:], ldc, wep, 0)
-		}
-	})
-}
-
-// gemmBlockedPackedA is the serial blocked engine over a packed A: C[rows×n]
-// = A[rowLo:rowLo+rows, :]·B under the epilogue, with c pointing at the
-// window's top-left element. A row split passes its row offset as rowLo; a
-// column split passes rowLo = 0 with b and c already offset and colOff
-// locating the window in the epilogue's column vectors. Each C tile is zeroed
-// just before its first k-panel (assign mode). Loop structure and
-// per-element accumulation order match gemmBlocked with a streamed
-// non-transposed A exactly; only the A addressing differs (contiguous
-// panels, ld = kcb).
-func gemmBlockedPackedA(tier EngineTier, rows, rowLo, n, k int, pa *PackedMat, b []float64, ldb int, c []float64, ldc int, ep *Epilogue, colOff int) {
-	m := pa.rows
-	for pc := 0; pc < k; pc += kcBlock {
-		kcb := min(kcBlock, k-pc)
-		first := pc == 0
-		last := pc+kcb == k
-		ablk := pa.data[m*pc+rowLo*kcb:]
-		for jc := 0; jc < n; jc += ncBlock {
-			ncb := min(ncBlock, n-jc)
-			if first {
-				zeroTile(rows, ncb, c[jc:], ldc)
-			}
-			gemmPanelT(tier, rows, ncb, kcb, ablk, kcb, b[pc*ldb+jc:], ldb, c[jc:], ldc)
-			if last && ep != nil {
-				applyEpilogue(rows, ncb, c[jc:], ldc, ep, rowLo, colOff+jc)
-			}
-		}
-	}
-}
-
-// castPool recycles the f32 B-tile scratch of the packed-A32 driver: one
-// kcBlock×ncBlock tile per concurrent caller (a row-split fan-out casts the
-// same tile once per worker, like the per-worker packTrans of the unpacked
-// engine — redundant work traded for zero coordination).
+// castPool recycles the f32 B-tile scratch the blocked driver narrows a
+// streamed B into when A is a PackedMat32: one kcBlock×ncBlock tile per
+// concurrent caller (a row-split fan-out casts the same tile once per
+// worker, like the per-worker packTrans of a transposed operand — redundant
+// work traded for zero coordination).
 var castPool = sync.Pool{
 	New: func() any {
 		buf := make([]float32, kcBlock*ncBlock)
@@ -404,91 +241,6 @@ func castTile(dst []float32, rows, cols int, src []float64, ld int) {
 		d := dst[i*cols : i*cols+cols]
 		for j, v := range src[i*ld : i*ld+cols] {
 			d[j] = float32(v)
-		}
-	}
-}
-
-// gemmBlockedPackedA32 is gemmBlockedPackedA over an f32 A pack: identical
-// loop structure, with each k-panel's scale folded into the widen-on-load
-// kernels. The streamed f64 B operand is narrowed one kcb×ncb tile at a time
-// into pooled f32 scratch — the cast is amortized over the rows/4 kernel
-// sweeps that consume the tile, halves the bytes those sweeps stream, and
-// makes the tile contiguous. The extra f32 rounding on B is ≤2⁻²⁴ relative,
-// far inside the tier's quantization budget from the A pack itself.
-func gemmBlockedPackedA32(rows, rowLo, n, k int, pa *PackedMat32, b []float64, ldb int, c []float64, ldc int, ep *Epilogue, colOff int) {
-	m := pa.rows
-	buf := castPool.Get().(*[]float32)
-	defer castPool.Put(buf)
-	b32 := *buf
-	for pc := 0; pc < k; pc += kcBlock {
-		kcb := min(kcBlock, k-pc)
-		first := pc == 0
-		last := pc+kcb == k
-		ablk := pa.data[m*pc+rowLo*kcb:]
-		s := pa.scales[pc/kcBlock]
-		for jc := 0; jc < n; jc += ncBlock {
-			ncb := min(ncBlock, n-jc)
-			castTile(b32, kcb, ncb, b[pc*ldb+jc:], ldb)
-			if first {
-				zeroTile(rows, ncb, c[jc:], ldc)
-			}
-			gemmPanelF32A(rows, ncb, kcb, ablk, kcb, s, b32, ncb, c[jc:], ldc)
-			if last && ep != nil {
-				applyEpilogue(rows, ncb, c[jc:], ldc, ep, rowLo, colOff+jc)
-			}
-		}
-	}
-}
-
-// gemmBlockedPackedB is the serial blocked engine over a packed B: C[m×cols]
-// = A·B[:, colLo:colLo+cols] under the epilogue, with c pointing at the
-// window's top-left element and rowOff locating it in the epilogue's row
-// vectors. colLo must be a multiple of ncBlock (or 0) so the jc loop lands on
-// the pack's tile starts; the serial caller passes 0 and the parallel caller
-// aligns its split. Each C tile is zeroed just before its first k-panel.
-func gemmBlockedPackedB(tier EngineTier, m, cols, colLo, k int, a []float64, lda int, pb *PackedMat, c []float64, ldc int, ep *Epilogue, rowOff int) {
-	n := pb.cols
-	for pc := 0; pc < k; pc += kcBlock {
-		kcb := min(kcBlock, k-pc)
-		first := pc == 0
-		last := pc+kcb == k
-		for jcl := 0; jcl < cols; jcl += ncBlock {
-			jc := colLo + jcl
-			ncb := min(ncBlock, cols-jcl)
-			bp := pb.data[pc*n+kcb*jc:]
-			if first {
-				zeroTile(m, ncb, c[jcl:], ldc)
-			}
-			gemmPanelT(tier, m, ncb, kcb, a[pc:], lda, bp, ncb, c[jcl:], ldc)
-			if last && ep != nil {
-				applyEpilogue(m, ncb, c[jcl:], ldc, ep, rowOff, jc)
-			}
-		}
-	}
-}
-
-// gemmBlockedPackedB32 is gemmBlockedPackedB over an f32 B pack: identical
-// loop structure, with each kcb×ncb tile's scale folded into the
-// widen-on-load kernels.
-func gemmBlockedPackedB32(m, cols, colLo, k int, a []float64, lda int, pb *PackedMat32, c []float64, ldc int, ep *Epilogue, rowOff int) {
-	n := pb.cols
-	nJc := (n + ncBlock - 1) / ncBlock
-	for pc := 0; pc < k; pc += kcBlock {
-		kcb := min(kcBlock, k-pc)
-		first := pc == 0
-		last := pc+kcb == k
-		for jcl := 0; jcl < cols; jcl += ncBlock {
-			jc := colLo + jcl
-			ncb := min(ncBlock, cols-jcl)
-			bp := pb.data[pc*n+kcb*jc:]
-			s := pb.scales[(pc/kcBlock)*nJc+jc/ncBlock]
-			if first {
-				zeroTile(m, ncb, c[jcl:], ldc)
-			}
-			gemmPanelF32B(m, ncb, kcb, a[pc:], lda, s, bp, ncb, c[jcl:], ldc)
-			if last && ep != nil {
-				applyEpilogue(m, ncb, c[jcl:], ldc, ep, rowOff, jc)
-			}
 		}
 	}
 }

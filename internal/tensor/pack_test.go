@@ -6,47 +6,69 @@ import (
 	"testing"
 )
 
-// packedCase runs one (m,n,k,ld,epilogue) configuration through both packed
-// entry points and demands BIT-identical results against the unpacked blocked
-// engine (gemmParallel in assign mode — the path GemmEx always takes and
-// GemmTBEx takes above its small-product threshold). The packed layout
-// preserves the engine's per-element accumulation order, so the comparison is
-// exact equality, not a tolerance.
+// gemmBlockedTwin runs op unpacked through the blocked driver, skipping the
+// small-product strided path: the twin a packed product must match bit for
+// bit.
+func gemmBlockedTwin(op GemmOp, m, n, k int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	ep := op.Ep
+	if ep.empty() {
+		ep = nil
+	}
+	gemmParallel(op.Tier, m, n, k, gemmOperandOf(true, op.TransA, m, k, a, lda, nil),
+		gemmOperandOf(false, op.TransB, k, n, b, ldb, nil), c, ldc, op.Assign, ep)
+}
+
+// packedCase runs one (m,n,k,ld,epilogue) configuration through the packed
+// descriptors — PackA and PackTB, on the exact and fma tiers, in assign mode
+// with the epilogue and accumulating without it — and demands BIT-identical
+// results against the unpacked blocked driver. The packed layout preserves
+// the driver's per-element accumulation order, so the comparison is exact
+// equality, not a tolerance.
 func packedCase(t *testing.T, m, n, k, lda, ldbT, ldbS, ldc int, ep *Epilogue) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(m*131071 + n*257 + k)))
 	a := make([]float64, (m-1)*lda+k+3)
-	bt := make([]float64, (n-1)*ldbT+k+3) // B stored [n×k] for the TB pair
-	bs := make([]float64, (k-1)*ldbS+n+3) // B stored [k×n] for the straight pair
+	bt := make([]float64, (n-1)*ldbT+k+3) // B stored [n×k] for PackTB
+	bs := make([]float64, (k-1)*ldbS+n+3) // B stored [k×n] for PackA
 	fillRand(rng, a)
 	fillRand(rng, bt)
 	fillRand(rng, bs)
+	pa, pb := PackA(m, k, a, lda), PackTB(n, k, bt, ldbT)
 
-	check := func(name string, got, want []float64) {
-		t.Helper()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s m=%d n=%d k=%d lda=%d ldc=%d: [%d] = %g, want %g (not bit-identical)",
-					name, m, n, k, lda, ldc, i, got[i], want[i])
+	for _, tier := range allTiers[:2] {
+		for _, assign := range []bool{true, false} {
+			op := GemmOp{Tier: tier, Assign: assign}
+			if assign {
+				op.Ep = ep
+			}
+			// Packed A · streamed B, then streamed A · packed Bᵀ.
+			for _, packB := range []bool{false, true} {
+				want := make([]float64, (m-1)*ldc+n+3)
+				fillRand(rng, want)
+				got := append([]float64(nil), want...)
+				name := "PackA"
+				if packB {
+					name = "PackTB"
+					op.TransB = true
+					gemmBlockedTwin(op, m, n, k, a, lda, bt, ldbT, want, ldc)
+					op.PackB = pb
+					Gemm(op, m, n, k, a, lda, nil, 0, got, ldc)
+					op.TransB, op.PackB = false, nil
+				} else {
+					gemmBlockedTwin(op, m, n, k, a, lda, bs, ldbS, want, ldc)
+					op.PackA = pa
+					Gemm(op, m, n, k, nil, 0, bs, ldbS, got, ldc)
+					op.PackA = nil
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s/%v assign=%t m=%d n=%d k=%d lda=%d ldc=%d: [%d] = %g, want %g (not bit-identical)",
+							name, tier, assign, m, n, k, lda, ldc, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}
-
-	// GemmPackedEx (packed A · streamed B) vs the unpacked blocked engine.
-	want := make([]float64, (m-1)*ldc+n+3)
-	fillRand(rng, want)
-	got := append([]float64(nil), want...)
-	gemmParallel(TierExact, m, n, k, a, lda, false, bs, ldbS, false, want, ldc, true, ep)
-	GemmPackedEx(m, n, k, PackA(m, k, a, lda), bs, ldbS, got, ldc, ep)
-	check("GemmPackedEx", got, want)
-
-	// GemmTBPackedEx (streamed A · packed Bᵀ) vs the unpacked blocked engine.
-	want2 := make([]float64, (m-1)*ldc+n+3)
-	fillRand(rng, want2)
-	got2 := append([]float64(nil), want2...)
-	gemmParallel(TierExact, m, n, k, a, lda, false, bt, ldbT, true, want2, ldc, true, ep)
-	GemmTBPackedEx(m, n, k, a, lda, PackTB(n, k, bt, ldbT), got2, ldc, ep)
-	check("GemmTBPackedEx", got2, want2)
 }
 
 // TestPackedGemmDeterministicShapes sweeps shapes across the kc/nc panel
@@ -67,6 +89,8 @@ func TestPackedGemmDeterministicShapes(t *testing.T) {
 		{64, 64, 64, 9},     // blocked, ragged ld
 		{65, 300, 63, 1},    // n crosses the nc tile boundary, ragged edge tiles
 		{130, 130, 130, 11}, // above the parallel threshold with GOMAXPROCS>1
+		{8, 600, 300, 3},    // row-short past the threshold: column split over a pack
+		{4, 700, 320, 1},    // too few rows to split at all: column split only
 		{40, 130, 270, 2},   // k > kc: multiple packed k panels
 		{257, 31, 260, 0},   // tall m: 4-row kernel plus 2-row and 1-row tails
 	}
@@ -126,29 +150,31 @@ func TestPackedGemmAllEpilogueMasks(t *testing.T) {
 	}
 }
 
-// TestPackedGemmEmptyK pins the assign-mode contract at k = 0 for both packed
-// entry points: zeros plus epilogue, slack columns untouched.
+// TestPackedGemmEmptyK pins the assign-mode contract at k = 0 for both
+// packed operands: zeros plus epilogue, slack columns untouched.
 func TestPackedGemmEmptyK(t *testing.T) {
 	c := []float64{7, 7, 7, 7, 7, 7}
-	GemmPackedEx(2, 2, 0, PackA(2, 0, nil, 0), nil, 2, c, 3, &Epilogue{RowShift: []float64{1, 2}})
+	Gemm(GemmOp{Assign: true, Ep: &Epilogue{RowShift: []float64{1, 2}}, PackA: PackA(2, 0, nil, 0)},
+		2, 2, 0, nil, 0, nil, 2, c, 3)
 	want := []float64{1, 1, 7, 2, 2, 7}
 	for i := range want {
 		if c[i] != want[i] {
-			t.Fatalf("GemmPackedEx k=0: c[%d] = %g, want %g", i, c[i], want[i])
+			t.Fatalf("PackA k=0: c[%d] = %g, want %g", i, c[i], want[i])
 		}
 	}
 	c2 := []float64{7, 7, 7, 7}
-	GemmTBPackedEx(2, 2, 0, nil, 0, PackTB(2, 0, nil, 0), c2, 2, nil)
+	Gemm(GemmOp{TransB: true, Assign: true, PackB: PackTB(2, 0, nil, 0)}, 2, 2, 0, nil, 0, nil, 0, c2, 2)
 	for i, v := range c2 {
 		if v != 0 {
-			t.Fatalf("GemmTBPackedEx k=0: c[%d] = %g, want 0", i, v)
+			t.Fatalf("PackTB k=0: c[%d] = %g, want 0", i, v)
 		}
 	}
 }
 
 // TestPackedGemmShapeChecks verifies that a pack built for one width is
 // rejected when handed to a product of another — the guard behind the
-// per-width cache keying upstairs.
+// per-width cache keying upstairs — and that packs are refused in the
+// wrong slot, with the wrong transpose flag, or both at once.
 func TestPackedGemmShapeChecks(t *testing.T) {
 	a := make([]float64, 6*8)
 	b := make([]float64, 8*4)
@@ -164,13 +190,23 @@ func TestPackedGemmShapeChecks(t *testing.T) {
 		}()
 		fn()
 	}
-	GemmPackedEx(6, 4, 8, pa, b, 4, c, 4, nil)   // well-formed
-	GemmTBPackedEx(6, 4, 8, a, 8, pb, c, 4, nil) // well-formed
-	expectPanic("wrong m", func() { GemmPackedEx(5, 4, 8, pa, b, 4, c, 4, nil) })
-	expectPanic("wrong k", func() { GemmPackedEx(6, 4, 7, pa, b, 4, c, 4, nil) })
-	expectPanic("layout mixup A", func() { GemmTBPackedEx(6, 8, 8, a, 8, pa, c, 8, nil) })
-	expectPanic("layout mixup B", func() { GemmPackedEx(8, 4, 4, pb, b, 4, c, 4, nil) })
-	expectPanic("nil pack", func() { GemmPackedEx(6, 4, 8, nil, b, 4, c, 4, nil) })
+	withA := GemmOp{Assign: true, PackA: pa}
+	withB := GemmOp{Assign: true, TransB: true, PackB: pb}
+	Gemm(withA, 6, 4, 8, nil, 0, b, 4, c, 4) // well-formed
+	Gemm(withB, 6, 4, 8, a, 8, nil, 0, c, 4) // well-formed
+	expectPanic("wrong m", func() { Gemm(withA, 5, 4, 8, nil, 0, b, 4, c, 4) })
+	expectPanic("wrong k", func() { Gemm(withA, 6, 4, 7, nil, 0, b, 4, c, 4) })
+	expectPanic("wrong n", func() { Gemm(withB, 6, 3, 8, a, 8, nil, 0, c, 4) })
+	expectPanic("layout mixup A", func() {
+		Gemm(GemmOp{Assign: true, TransB: true, PackB: pa}, 6, 8, 8, a, 8, nil, 0, c, 8)
+	})
+	expectPanic("layout mixup B", func() { Gemm(GemmOp{Assign: true, PackA: pb}, 8, 4, 4, nil, 0, b, 4, c, 4) })
+	expectPanic("nil pack", func() { Gemm(GemmOp{PackA: (*PackedMat)(nil)}, 6, 4, 8, nil, 0, b, 4, c, 4) })
+	expectPanic("PackA with TransA", func() { Gemm(GemmOp{TransA: true, PackA: pa}, 6, 4, 8, nil, 0, b, 4, c, 4) })
+	expectPanic("PackB without TransB", func() { Gemm(GemmOp{PackB: pb}, 6, 4, 8, a, 8, nil, 0, c, 4) })
+	expectPanic("both packed", func() {
+		Gemm(GemmOp{TransB: true, PackA: pa, PackB: pb}, 6, 4, 8, nil, 0, nil, 0, c, 4)
+	})
 }
 
 // TestPackedMatDims pins the accessor contract and the exact (unpadded)
@@ -205,8 +241,9 @@ func TestPackedGemmSharedConcurrent(t *testing.T) {
 	fillRand(rng, a)
 	fillRand(rng, b)
 	pa := PackA(m, k, a, k)
+	op := GemmOp{Assign: true, PackA: pa}
 	want := make([]float64, m*n)
-	GemmPackedEx(m, n, k, pa, b, n, want, n, nil)
+	Gemm(op, m, n, k, nil, 0, b, n, want, n)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -215,9 +252,9 @@ func TestPackedGemmSharedConcurrent(t *testing.T) {
 			defer wg.Done()
 			c := make([]float64, m*n)
 			for it := 0; it < 20; it++ {
-				GemmPackedEx(m, n, k, pa, b, n, c, n, &Epilogue{ReLU: it%2 == 0})
+				Gemm(GemmOp{Assign: true, Ep: &Epilogue{ReLU: it%2 == 0}, PackA: pa}, m, n, k, nil, 0, b, n, c, n)
 			}
-			GemmPackedEx(m, n, k, pa, b, n, c, n, nil)
+			Gemm(op, m, n, k, nil, 0, b, n, c, n)
 			for i := range want {
 				if c[i] != want[i] {
 					t.Errorf("concurrent packed GEMM diverged at %d", i)
@@ -236,7 +273,7 @@ func TestGemmStatsCounts(t *testing.T) {
 	a := make([]float64, 4*4)
 	b := make([]float64, 4*4)
 	c := make([]float64, 4*4)
-	Gemm(4, 4, 4, a, 4, b, 4, c, 4) // far below every threshold
+	Gemm(GemmOp{}, 4, 4, 4, a, 4, b, 4, c, 4) // far below every threshold
 	mid := GemmStats()
 	if mid.Fanouts != before.Fanouts {
 		t.Fatalf("tiny Gemm bumped the fan-out counter")
@@ -244,7 +281,7 @@ func TestGemmStatsCounts(t *testing.T) {
 	if GemmWillParallelize(256, 256, 256) {
 		big := make([]float64, 256*256)
 		cb := make([]float64, 256*256)
-		Gemm(256, 256, 256, big, 256, big, 256, cb, 256)
+		Gemm(GemmOp{}, 256, 256, 256, big, 256, big, 256, cb, 256)
 		after := GemmStats()
 		if after.Fanouts <= mid.Fanouts || after.FanoutWorkers <= mid.FanoutWorkers {
 			t.Fatalf("parallel Gemm did not bump the fan-out counters: %+v -> %+v", mid, after)
@@ -265,17 +302,13 @@ func benchConvShape(b *testing.B, m, n, k int, packed bool) {
 	fillRand(rng, col)
 	ep := &Epilogue{RowShift: make([]float64, m), ReLU: true}
 	b.ReportAllocs()
+	op := GemmOp{Assign: true, Ep: ep}
 	if packed {
-		pa := PackA(m, k, w, k)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			GemmPackedEx(m, n, k, pa, col, n, c, n, ep)
-		}
-		return
+		op.PackA = PackA(m, k, w, k)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmEx(m, n, k, w, k, col, n, c, n, ep)
+		Gemm(op, m, n, k, w, k, col, n, c, n)
 	}
 }
 
@@ -296,7 +329,7 @@ func BenchmarkDenseGemmUnpacked32x256x256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmTBEx(m, n, k, a, k, w, k, c, n, nil)
+		Gemm(GemmOp{TransB: true, Assign: true}, m, n, k, a, k, w, k, c, n)
 	}
 }
 func BenchmarkDenseGemmPacked32x256x256(b *testing.B) {
@@ -307,10 +340,42 @@ func BenchmarkDenseGemmPacked32x256x256(b *testing.B) {
 	c := make([]float64, m*n)
 	fillRand(rng, a)
 	fillRand(rng, w)
-	pb := PackTB(n, k, w, k)
+	op := GemmOp{TransB: true, Assign: true, PackB: PackTB(n, k, w, k)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmTBPackedEx(m, n, k, a, k, pb, c, n, nil)
+		Gemm(op, m, n, k, a, k, nil, 0, c, n)
+	}
+}
+
+// BenchmarkPackBeyondLLC is the f32 tier's case: a 24×4096×4096 dense
+// product (a batch-24 shard through a 4096-wide layer) whose f64 weight pack
+// is 128 MiB, past a typical last-level cache, while the f32 pack is 64 MiB.
+// It allocates about 0.3 GiB, so it is named to stay out of the CI smoke
+// pattern; run it explicitly with -bench PackBeyondLLC.
+func BenchmarkPackBeyondLLC(b *testing.B) {
+	const m, n, k = 24, 4096, 4096
+	rng := rand.New(rand.NewSource(5))
+	a := make([]float64, m*k)
+	w := make([]float64, n*k)
+	c := make([]float64, m*n)
+	fillRand(rng, a)
+	fillRand(rng, w)
+	for _, tc := range []struct {
+		name string
+		tier EngineTier
+		pack func() Packed
+	}{
+		{"fma/PackTB", TierFMA, func() Packed { return PackTB(n, k, w, k) }},
+		{"f32/PackTB32", TierF32, func() Packed { return PackTB32(n, k, w, k) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			op := GemmOp{Tier: tc.tier, TransB: true, Assign: true, PackB: tc.pack()}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Gemm(op, m, n, k, a, k, nil, 0, c, n)
+			}
+		})
 	}
 }

@@ -195,7 +195,7 @@ func TestGemmMatchesReference(t *testing.T) {
 		a := randSlice(m*k, rng)
 		b := randSlice(k*n, rng)
 		c := make([]float64, m*n)
-		Gemm(m, n, k, a, k, b, n, c, n)
+		Gemm(GemmOp{}, m, n, k, a, k, b, n, c, n)
 		want := refMatMul(m, n, k, a, b)
 		for i := range c {
 			if !almostEqual(c[i], want[i], 1e-12) {
@@ -209,7 +209,7 @@ func TestGemmAccumulates(t *testing.T) {
 	a := []float64{1, 0, 0, 1}
 	b := []float64{2, 3, 4, 5}
 	c := []float64{10, 10, 10, 10}
-	Gemm(2, 2, 2, a, 2, b, 2, c, 2)
+	Gemm(GemmOp{}, 2, 2, 2, a, 2, b, 2, c, 2)
 	want := []float64{12, 13, 14, 15}
 	for i := range c {
 		if c[i] != want[i] {
@@ -225,7 +225,7 @@ func TestGemmTAMatchesReference(t *testing.T) {
 	aT := randSlice(k*m, rng)
 	b := randSlice(k*n, rng)
 	c := make([]float64, m*n)
-	GemmTA(m, n, k, aT, m, b, n, c, n)
+	Gemm(GemmOp{TransA: true}, m, n, k, aT, m, b, n, c, n)
 	// Build A = transpose(aT) and compare with reference.
 	a := make([]float64, m*k)
 	for p := 0; p < k; p++ {
@@ -236,7 +236,7 @@ func TestGemmTAMatchesReference(t *testing.T) {
 	want := refMatMul(m, n, k, a, b)
 	for i := range c {
 		if !almostEqual(c[i], want[i], 1e-12) {
-			t.Fatalf("GemmTA[%d] = %v, want %v", i, c[i], want[i])
+			t.Fatalf("TransA[%d] = %v, want %v", i, c[i], want[i])
 		}
 	}
 }
@@ -247,7 +247,7 @@ func TestGemmTBMatchesReference(t *testing.T) {
 	a := randSlice(m*k, rng)
 	bT := randSlice(n*k, rng) // B stored as [n×k]; logical op is A·Bᵀ.
 	c := make([]float64, m*n)
-	GemmTB(m, n, k, a, k, bT, k, c, n)
+	Gemm(GemmOp{TransB: true}, m, n, k, a, k, bT, k, c, n)
 	b := make([]float64, k*n)
 	for j := 0; j < n; j++ {
 		for p := 0; p < k; p++ {
@@ -257,7 +257,7 @@ func TestGemmTBMatchesReference(t *testing.T) {
 	want := refMatMul(m, n, k, a, b)
 	for i := range c {
 		if !almostEqual(c[i], want[i], 1e-12) {
-			t.Fatalf("GemmTB[%d] = %v, want %v", i, c[i], want[i])
+			t.Fatalf("TransB[%d] = %v, want %v", i, c[i], want[i])
 		}
 	}
 }
@@ -268,7 +268,7 @@ func TestGemmWithLeadingDimensions(t *testing.T) {
 	a := randSlice(2*4, rng)
 	b := randSlice(2*4, rng)
 	c := make([]float64, 2*4)
-	Gemm(2, 2, 2, a, 4, b, 4, c, 4)
+	Gemm(GemmOp{}, 2, 2, 2, a, 4, b, 4, c, 4)
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			s := 0.0
@@ -296,33 +296,7 @@ func TestGemmPanicsOnShortBuffer(t *testing.T) {
 			t.Fatal("expected panic for short buffer")
 		}
 	}()
-	Gemm(2, 2, 2, make([]float64, 3), 2, make([]float64, 4), 2, make([]float64, 4), 2)
-}
-
-func TestMatVecAndMatTVec(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5, 6} // 2×3
-	x := []float64{1, 1, 1}
-	y := make([]float64, 2)
-	MatVec(2, 3, a, 3, x, y)
-	if y[0] != 6 || y[1] != 15 {
-		t.Fatalf("MatVec = %v", y)
-	}
-	g := make([]float64, 3)
-	MatTVec(2, 3, a, 3, []float64{1, 1}, g)
-	if g[0] != 5 || g[1] != 7 || g[2] != 9 {
-		t.Fatalf("MatTVec = %v", g)
-	}
-}
-
-func TestOuterAcc(t *testing.T) {
-	a := make([]float64, 6)
-	OuterAcc(2, 3, a, 3, []float64{1, 2}, []float64{3, 4, 5})
-	want := []float64{3, 4, 5, 6, 8, 10}
-	for i := range a {
-		if a[i] != want[i] {
-			t.Fatalf("OuterAcc = %v, want %v", a, want)
-		}
-	}
+	Gemm(GemmOp{}, 2, 2, 2, make([]float64, 3), 2, make([]float64, 4), 2, make([]float64, 4), 2)
 }
 
 // Property: GEMM distributes over addition in A, i.e.
@@ -339,10 +313,10 @@ func TestQuickGemmLinearity(t *testing.T) {
 			sum[i] = a1[i] + a2[i]
 		}
 		c1 := make([]float64, m*n)
-		Gemm(m, n, k, a1, k, b, n, c1, n)
-		Gemm(m, n, k, a2, k, b, n, c1, n) // accumulate A2·B
+		Gemm(GemmOp{}, m, n, k, a1, k, b, n, c1, n)
+		Gemm(GemmOp{}, m, n, k, a2, k, b, n, c1, n) // accumulate A2·B
 		c2 := make([]float64, m*n)
-		Gemm(m, n, k, sum, k, b, n, c2, n)
+		Gemm(GemmOp{}, m, n, k, sum, k, b, n, c2, n)
 		for i := range c1 {
 			if !almostEqual(c1[i], c2[i], 1e-10) {
 				return false
@@ -364,7 +338,7 @@ func TestQuickGemmTransposeConsistency(t *testing.T) {
 		a := randSlice(m*k, r)
 		b := randSlice(k*n, r)
 		want := refMatMul(m, n, k, a, b)
-		// Via GemmTA with explicitly transposed A.
+		// Via TransA with explicitly transposed A.
 		aT := make([]float64, k*m)
 		for i := 0; i < m; i++ {
 			for p := 0; p < k; p++ {
@@ -372,13 +346,13 @@ func TestQuickGemmTransposeConsistency(t *testing.T) {
 			}
 		}
 		c := make([]float64, m*n)
-		GemmTA(m, n, k, aT, m, b, n, c, n)
+		Gemm(GemmOp{TransA: true}, m, n, k, aT, m, b, n, c, n)
 		for i := range c {
 			if !almostEqual(c[i], want[i], 1e-10) {
 				return false
 			}
 		}
-		// Via GemmTB with explicitly transposed B.
+		// Via TransB with explicitly transposed B.
 		bT := make([]float64, n*k)
 		for p := 0; p < k; p++ {
 			for j := 0; j < n; j++ {
@@ -386,7 +360,7 @@ func TestQuickGemmTransposeConsistency(t *testing.T) {
 			}
 		}
 		c2 := make([]float64, m*n)
-		GemmTB(m, n, k, a, k, bT, k, c2, n)
+		Gemm(GemmOp{TransB: true}, m, n, k, a, k, bT, k, c2, n)
 		for i := range c2 {
 			if !almostEqual(c2[i], want[i], 1e-10) {
 				return false

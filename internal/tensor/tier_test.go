@@ -66,6 +66,8 @@ var tierShapes = []struct{ m, n, k, pad int }{
 	{40, 300, 20, 2},   // crosses the nc tile boundary
 	{64, 64, 300, 0},   // multiple kc panels
 	{130, 130, 130, 7}, // above the parallel threshold
+	{8, 600, 300, 3},   // row-short past it: column split over a pack
+	{4, 700, 320, 1},   // too few rows to split at all
 }
 
 // TestFastTierFlipBitIdentical pins the fast tiers' determinism contract:
@@ -91,29 +93,26 @@ func TestFastTierFlipBitIdentical(t *testing.T) {
 		ptb := PackTB32(s.n, s.k, bt, ldbT)
 		pa := PackA32(s.m, s.k, a, lda)
 
-		type op struct {
-			name string
-			run  func(c []float64)
-		}
-		ops := []op{
-			{"GemmT/fma", func(c []float64) { GemmT(TierFMA, s.m, s.n, s.k, a, lda, b, ldb, c, ldc) }},
-			{"GemmExT/fma", func(c []float64) { GemmExT(TierFMA, s.m, s.n, s.k, a, lda, b, ldb, c, ldc, ep) }},
-			{"GemmTBExT/fma", func(c []float64) { GemmTBExT(TierFMA, s.m, s.n, s.k, a, lda, bt, ldbT, c, ldc, ep) }},
-			{"GemmTBPackedExT/f32", func(c []float64) {
-				GemmTBPackedExT(TierF32, s.m, s.n, s.k, a, lda, ptb, c, ldc, ep)
-			}},
-			{"GemmPackedExT/f32", func(c []float64) {
-				GemmPackedExT(TierF32, s.m, s.n, s.k, pa, b, ldb, c, ldc, ep)
-			}},
+		ops := []struct {
+			name     string
+			op       GemmOp
+			a, b     []float64
+			lda, ldb int
+		}{
+			{"NN/fma", GemmOp{Tier: TierFMA}, a, b, lda, ldb},
+			{"NN/fma/assign", GemmOp{Tier: TierFMA, Assign: true, Ep: ep}, a, b, lda, ldb},
+			{"TB/fma/assign", GemmOp{Tier: TierFMA, TransB: true, Assign: true, Ep: ep}, a, bt, lda, ldbT},
+			{"PackTB32", GemmOp{Tier: TierF32, TransB: true, Assign: true, Ep: ep, PackB: ptb}, a, nil, lda, 0},
+			{"PackA32", GemmOp{Tier: TierF32, Assign: true, Ep: ep, PackA: pa}, nil, b, 0, ldb},
 		}
 		for _, o := range ops {
 			vec := make([]float64, s.m*ldc+8)
 			scl := make([]float64, len(vec))
 			fillRand(rng, vec)
 			copy(scl, vec)
-			o.run(vec)
+			Gemm(o.op, s.m, s.n, s.k, o.a, o.lda, o.b, o.ldb, vec, ldc)
 			useFMA = false
-			o.run(scl)
+			Gemm(o.op, s.m, s.n, s.k, o.a, o.lda, o.b, o.ldb, scl, ldc)
 			useFMA = true
 			for i := range vec {
 				if math.Float64bits(vec[i]) != math.Float64bits(scl[i]) {
@@ -141,24 +140,28 @@ func tierMaxRel(m, n, ldc int, got, want []float64) float64 {
 }
 
 // TestFMATierToleranceVsExact property-tests the fma tier against the exact
-// scalar oracle over random shapes, strides, and all 2^6 epilogue masks.
+// engine over every orientation, strides, and all 2^6 epilogue masks.
 func TestFMATierToleranceVsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, s := range tierShapes {
 		for mask := 0; mask < 64; mask++ {
 			m, n, k := s.m, s.n, s.k
-			lda, ldb, ldc := k+s.pad, n+s.pad, n+s.pad
-			a := make([]float64, m*lda+4)
-			b := make([]float64, k*ldb+4)
-			fillRand(rng, a)
-			fillRand(rng, b)
-			ep := epilogueCase(rng, mask, m, n)
-			want := make([]float64, m*ldc+4)
-			got := make([]float64, len(want))
-			GemmEx(m, n, k, a, lda, b, ldb, want, ldc, ep)
-			GemmExT(TierFMA, m, n, k, a, lda, b, ldb, got, ldc, ep)
-			if rel := tierMaxRel(m, n, ldc, got, want); rel > fmaKernelTol {
-				t.Fatalf("fma tier m=%d n=%d k=%d mask=%d: rel error %.3g > %g", m, n, k, mask, rel, fmaKernelTol)
+			for _, l := range gemmLayouts {
+				lda, ldb, aRows, _, bRows, _ := l.dims(m, n, k, s.pad, s.pad)
+				ldc := n + s.pad
+				a := make([]float64, aRows*lda+4)
+				b := make([]float64, bRows*ldb+4)
+				fillRand(rng, a)
+				fillRand(rng, b)
+				op := GemmOp{TransA: l.transA, TransB: l.transB, Assign: true, Ep: epilogueCase(rng, mask, m, n)}
+				want := make([]float64, m*ldc+4)
+				got := make([]float64, len(want))
+				Gemm(op, m, n, k, a, lda, b, ldb, want, ldc)
+				op.Tier = TierFMA
+				Gemm(op, m, n, k, a, lda, b, ldb, got, ldc)
+				if rel := tierMaxRel(m, n, ldc, got, want); rel > fmaKernelTol {
+					t.Fatalf("fma tier %s m=%d n=%d k=%d mask=%d: rel error %.3g > %g", l.name, m, n, k, mask, rel, fmaKernelTol)
+				}
 			}
 		}
 	}
@@ -183,29 +186,40 @@ func TestF32TierToleranceVsExact(t *testing.T) {
 			fillRand(rng, b)
 			ep := epilogueCase(rng, mask, m, n)
 
-			// Dense orientation: A · Bᵀ with a PackTB32 right operand.
-			want := make([]float64, m*ldc+4)
-			got := make([]float64, len(want))
-			GemmEx(m, n, k, a, lda, transposeTB(n, k, bt, ldbT), n, want, ldc, ep)
-			GemmTBPackedExT(TierF32, m, n, k, a, lda, PackTB32(n, k, bt, ldbT), got, ldc, ep)
-			if rel := tierMaxRel(m, n, ldc, got, want); rel > f32KernelTol {
-				t.Fatalf("f32 TB m=%d n=%d k=%d mask=%d: rel error %.3g > %g", m, n, k, mask, rel, f32KernelTol)
-			}
-
-			// Conv orientation: A · B with a PackA32 left operand.
-			want2 := make([]float64, m*ldc+4)
-			got2 := make([]float64, len(want2))
-			GemmEx(m, n, k, a, lda, b, ldb, want2, ldc, ep)
-			GemmPackedExT(TierF32, m, n, k, PackA32(m, k, a, lda), b, ldb, got2, ldc, ep)
-			if rel := tierMaxRel(m, n, ldc, got2, want2); rel > f32KernelTol {
-				t.Fatalf("f32 A m=%d n=%d k=%d mask=%d: rel error %.3g > %g", m, n, k, mask, rel, f32KernelTol)
+			// The dense orientation (A · Bᵀ with a PackTB32 right operand)
+			// and the conv one (A · B with a PackA32 left operand), each
+			// against the exact engine on the straight operands.
+			exact := GemmOp{Assign: true, Ep: ep}
+			for _, tc := range []struct {
+				name     string
+				op       GemmOp
+				a, b     []float64
+				lda, ldb int
+				bRef     []float64
+			}{
+				{"PackTB32", GemmOp{Tier: TierF32, TransB: true, Assign: true, Ep: ep, PackB: PackTB32(n, k, bt, ldbT)},
+					a, nil, lda, 0, transposeTB(n, k, bt, ldbT)},
+				{"PackA32", GemmOp{Tier: TierF32, Assign: true, Ep: ep, PackA: PackA32(m, k, a, lda)},
+					nil, b, 0, ldb, nil},
+			} {
+				want := make([]float64, m*ldc+4)
+				got := make([]float64, len(want))
+				if tc.bRef != nil {
+					Gemm(exact, m, n, k, a, lda, tc.bRef, n, want, ldc)
+				} else {
+					Gemm(exact, m, n, k, a, lda, b, ldb, want, ldc)
+				}
+				Gemm(tc.op, m, n, k, tc.a, tc.lda, tc.b, tc.ldb, got, ldc)
+				if rel := tierMaxRel(m, n, ldc, got, want); rel > f32KernelTol {
+					t.Fatalf("f32 %s m=%d n=%d k=%d mask=%d: rel error %.3g > %g", tc.name, m, n, k, mask, rel, f32KernelTol)
+				}
 			}
 		}
 	}
 }
 
 // transposeTB materializes Bᵀ[k×n] from a [n×k]-stored operand so the exact
-// GemmEx oracle can consume it.
+// straight product can serve as the oracle.
 func transposeTB(n, k int, b []float64, ldb int) []float64 {
 	bt := make([]float64, k*n)
 	for j := 0; j < n; j++ {
@@ -293,12 +307,14 @@ func TestNarrowPanelTakesScalarPath(t *testing.T) {
 	}
 
 	for _, tier := range []EngineTier{TierExact, TierFMA} {
-		d := delta(func() { GemmT(tier, m, n, k, a, k, b, n, c, n) })
+		d := delta(func() { Gemm(GemmOp{Tier: tier}, m, n, k, a, k, b, n, c, n) })
 		if d[tier].Scalar == 0 || d[tier].Vector != 0 {
 			t.Fatalf("tier %v, 7-column panel: kernel deltas %+v, want scalar>0 vector=0", tier, d)
 		}
 	}
-	d := delta(func() { GemmTBPackedExT(TierF32, m, n, k, a, k, PackTB32(n, k, bt, k), c, n, nil) })
+	d := delta(func() {
+		Gemm(GemmOp{Tier: TierF32, TransB: true, Assign: true, PackB: PackTB32(n, k, bt, k)}, m, n, k, a, k, nil, 0, c, n)
+	})
 	if d[TierF32].Scalar == 0 || d[TierF32].Vector != 0 {
 		t.Fatalf("tier f32, 7-column panel: kernel deltas %+v, want scalar>0 vector=0", d)
 	}
@@ -311,16 +327,17 @@ func TestNarrowPanelTakesScalarPath(t *testing.T) {
 	fillRand(rng, wbt)
 	wc := make([]float64, m*wn)
 	if HasAVX() {
-		if d := delta(func() { GemmT(TierExact, m, wn, k, a, k, wb, wn, wc, wn) }); d[TierExact].Vector == 0 {
+		if d := delta(func() { Gemm(GemmOp{}, m, wn, k, a, k, wb, wn, wc, wn) }); d[TierExact].Vector == 0 {
 			t.Fatalf("exact tier, wide panel: kernel deltas %+v, want vector>0", d)
 		}
 	}
 	if HasFMA() {
-		if d := delta(func() { GemmT(TierFMA, m, wn, k, a, k, wb, wn, wc, wn) }); d[TierFMA].Vector == 0 {
+		if d := delta(func() { Gemm(GemmOp{Tier: TierFMA}, m, wn, k, a, k, wb, wn, wc, wn) }); d[TierFMA].Vector == 0 {
 			t.Fatalf("fma tier, wide panel: kernel deltas %+v, want vector>0", d)
 		}
 		if d := delta(func() {
-			GemmTBPackedExT(TierF32, m, wn, k, a, k, PackTB32(wn, k, wbt, k), wc, wn, nil)
+			op := GemmOp{Tier: TierF32, TransB: true, Assign: true, PackB: PackTB32(wn, k, wbt, k)}
+			Gemm(op, m, wn, k, a, k, nil, 0, wc, wn)
 		}); d[TierF32].Vector == 0 {
 			t.Fatalf("f32 tier, wide panel: kernel deltas %+v, want vector>0", d)
 		}
@@ -348,9 +365,12 @@ func TestFastTierZeroAlloc(t *testing.T) {
 	pa := PackA32(m, k, a, k)
 
 	for name, fn := range map[string]func(){
-		"GemmExT/fma":         func() { GemmExT(TierFMA, m, n, k, a, k, b, n, c, n, ep) },
-		"GemmTBPackedExT/f32": func() { GemmTBPackedExT(TierF32, m, n, k, a, k, ptb, c, n, ep) },
-		"GemmPackedExT/f32":   func() { GemmPackedExT(TierF32, m, n, k, pa, b, n, c, n, ep) },
+		"NN/fma": func() { Gemm(GemmOp{Tier: TierFMA, Assign: true, Ep: ep}, m, n, k, a, k, b, n, c, n) },
+		"TB/fma": func() { Gemm(GemmOp{Tier: TierFMA, TransB: true, Assign: true, Ep: ep}, m, n, k, a, k, bt, k, c, n) },
+		"PackTB32": func() {
+			Gemm(GemmOp{Tier: TierF32, TransB: true, Assign: true, Ep: ep, PackB: ptb}, m, n, k, a, k, nil, 0, c, n)
+		},
+		"PackA32": func() { Gemm(GemmOp{Tier: TierF32, Assign: true, Ep: ep, PackA: pa}, m, n, k, nil, 0, b, n, c, n) },
 	} {
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
 			t.Fatalf("%s: %v allocs/op, want 0", name, allocs)
